@@ -1,32 +1,26 @@
-"""Extension: fused expression kernels + compressed pages — the floor.
+"""Extension: compressed pages — the scan floor under every plan.
 
-``fBCGLikelihood`` evaluates, per redshift step, a chi² acceptance test
-whose band terms (``g.i - k.i`` and friends) recur across the predicate
-*and* the select list.  The interpreted expression walk materializes
-one full-length ndarray temporary per tree node per batch; the compiled
-path (``EngineConfig(compiled_expressions=True)``) fuses the whole
-filter+projection chain into one kernel with common-subexpression
-elimination, short-circuit conjunction over selection vectors, and late
-materialization.  Compressed pages (``page_compression=True``) pack
-more rows per 8 KiB page wherever ANALYZE statistics show dictionary or
-run-length coding beating raw column widths.
+Compressed pages (``EngineConfig(page_compression=True)``, the default)
+pack more rows per 8 KiB page wherever ANALYZE statistics show
+dictionary or run-length coding beating raw column widths, so the same
+scan touches fewer pages.
 
-Two workloads drive all four mode corners (compiled x compression):
+Two workloads run with page compression on and off:
 
-* ``likelihood`` — the MaxBCG chi² test against one k-correction row,
-  with the chi² expression repeated in WHERE and SELECT (the CSE case);
-* ``wide`` — a hostile scan whose 8-conjunct predicate starts with a
-  highly selective clause (the short-circuit case).
+* ``likelihood`` — the MaxBCG chi² test against one k-correction row
+  over a zone-clustered galaxy table (the ``zoneid`` run-length codes,
+  the quantized sigmas dictionary-code);
+* ``wide`` — an 8-conjunct scan over a table of continuous columns that
+  no codec helps (the no-change control).
 
-Pinned claims: the compiled path allocates >= 2x fewer ndarray
-temporary elements than the interpreted walk on the likelihood chain,
-runs faster in wall time, compressed pages cost measurably fewer
-logical reads, and every corner — at any morsel worker count — returns
-byte-identical rows.
+Pinned claims: compressed pages cost measurably fewer logical reads on
+the likelihood scan, and compression on/off at 1 and 4 morsel workers
+returns byte-identical rows.  Wall times are recorded per arm for the
+record; no speed claim rides on them.
 
 Results are written to ``BENCH_kernels.json`` at the repo root.  Run
-standalone (``python benchmarks/bench_kernels.py``) — the CI bench
-smoke step does exactly that — or under pytest.
+standalone (``python benchmarks/bench_kernels.py``) — the CI
+page-compression step does exactly that — or under pytest.
 """
 
 from __future__ import annotations
@@ -38,13 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.reporting import ShapeCheck, print_report
-from repro.engine.compile import TALLY
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-
-#: Required ratio of interpreted temporaries to compiled allocations on
-#: the likelihood chain (the ISSUE's ">= 2x fewer temporaries" floor).
-TEMPORARIES_FLOOR = 2.0
 
 #: Morsel workers for the parallel byte-identity leg.
 MORSEL_WORKERS = 4
@@ -54,16 +43,13 @@ REPEATS = 3
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
-#: Catalog sizes — big enough that morsels really split (> 16384 rows)
-#: and ndarray allocation costs dominate Python dispatch.
+#: Catalog sizes — big enough that morsels really split (> 16384 rows).
 N_GALAXY = 200_000
 N_WIDE = 150_000
 
 #: The chi² likelihood test against one k-correction row (literals are
 #: that row's colors — fBCGLikelihood runs exactly this shape once per
-#: redshift step).  The full chi² expression appears in the WHERE *and*
-#: the SELECT: interpreted, that is two complete tree walks; compiled,
-#: CSE evaluates it once over the surviving rows only.
+#: redshift step).
 LIKELIHOOD_QUERY = """
 SELECT objid,
        i - 17.85 AS iband,
@@ -80,9 +66,8 @@ WHERE zoneid BETWEEN 240 AND 280
 ORDER BY objid
 """
 
-#: Hostile wide-predicate scan: eight conjuncts, the first of which
-#: keeps ~3% of rows.  Interpreted, all eight evaluate full-width;
-#: compiled, seven of them see only the 3% selection.
+#: Wide-predicate scan: eight conjuncts over continuous columns that
+#: stay raw under every codec.
 WIDE_QUERY = """
 SELECT id, c0 + c1 AS s01
 FROM wide
@@ -98,7 +83,7 @@ ORDER BY id
 """
 
 
-def build_database(page_compression: bool) -> Database:
+def build_database(page_compression: bool, workers: int = 1) -> Database:
     """A synthetic SkyServer-style catalog plus the hostile wide table.
 
     ``galaxy`` is clustered on ``(zoneid, ra)`` like the paper's zone
@@ -107,7 +92,8 @@ def build_database(page_compression: bool) -> Database:
     """
     db = Database(
         "bench_kernels" + ("_z" if page_compression else "_raw"),
-        config=EngineConfig(page_compression=page_compression),
+        config=EngineConfig(page_compression=page_compression,
+                            intra_query_workers=workers),
     )
     rng = np.random.default_rng(2005)
     order = np.lexsort(
@@ -158,28 +144,23 @@ def time_query(db: Database, sql: str) -> float:
     return best
 
 
-#: name -> (compiled_expressions, page_compression)
+#: name -> (page_compression, intra_query_workers)
 CONFIGS = {
-    "interpreted_raw": (False, False),
-    "interpreted_z": (False, True),
-    "fused_raw": (True, False),
-    "fused_z": (True, True),
+    "raw": (False, 1),
+    "compressed": (True, 1),
+    "raw_par": (False, MORSEL_WORKERS),
+    "compressed_par": (True, MORSEL_WORKERS),
 }
 
 
-def run_workload(dbs: dict[bool, Database], sql: str) -> dict:
-    """One query under every corner; wall time, rows, reads per arm."""
+def run_workload(dbs: dict[str, Database], sql: str) -> dict:
+    """One query under every arm; wall time, rows, reads per arm."""
     out: dict = {}
-    for name, (compiled, compression) in CONFIGS.items():
-        db = dbs[compression]
-        db.compiled_expressions = compiled
-        try:
-            reads0 = db.io_counters.logical_reads
-            elapsed = time_query(db, sql)
-            result = db.sql(sql)
-            reads = (db.io_counters.logical_reads - reads0) // (REPEATS + 1)
-        finally:
-            db.compiled_expressions = True
+    for name, db in dbs.items():
+        reads0 = db.io_counters.logical_reads
+        elapsed = time_query(db, sql)
+        result = db.sql(sql)
+        reads = (db.io_counters.logical_reads - reads0) // (REPEATS + 1)
         out[name] = {
             "elapsed_s": round(elapsed, 6),
             "result_rows": result.row_count,
@@ -189,126 +170,52 @@ def run_workload(dbs: dict[bool, Database], sql: str) -> dict:
     return out
 
 
-def measure_temporaries(db: Database, sql: str) -> tuple[int, int]:
-    """(interpreted_elements, compiled_elements) for one compiled run."""
-    db.compiled_expressions = True
-    before = TALLY.snapshot()
-    db.sql(sql)
-    after = TALLY.snapshot()
-    return (after["interp_elements"] - before["interp_elements"],
-            after["alloc_elements"] - before["alloc_elements"])
-
-
 def run_and_check():
-    dbs = {True: build_database(True), False: build_database(False)}
+    dbs = {name: build_database(*arm) for name, arm in CONFIGS.items()}
     likelihood = run_workload(dbs, LIKELIHOOD_QUERY)
     wide = run_workload(dbs, WIDE_QUERY)
 
-    interp_el, compiled_el = measure_temporaries(dbs[True], LIKELIHOOD_QUERY)
-    temporaries_ratio = interp_el / max(compiled_el, 1)
-    wide_interp_el, wide_compiled_el = measure_temporaries(
-        dbs[True], WIDE_QUERY
-    )
-    wide_ratio = wide_interp_el / max(wide_compiled_el, 1)
+    def identical(workload) -> bool:
+        baseline = workload["raw"]["_rows"]
+        return all(workload[name]["_rows"] == baseline for name in CONFIGS)
 
-    # morsel-parallel byte identity on top of the four corners
-    parallel_rows = {}
-    for sql, name in ((LIKELIHOOD_QUERY, "likelihood"), (WIDE_QUERY, "wide")):
-        par = Database(
-            "bench_kernels_par",
-            config=EngineConfig(intra_query_workers=MORSEL_WORKERS),
-        )
-        for table in ("galaxy", "wide"):
-            src = dbs[True].table(table)
-            par.create_table(table, src.columns_dict(),
-                             primary_key=src.schema.primary_key)
-        par.sql("ANALYZE")
-        parallel_rows[name] = exact_rows(par.sql(sql))
+    def reads(workload, name) -> int:
+        return workload[name]["logical_reads_per_run"]
 
-    def corners_identical(workload, parallel) -> bool:
-        baseline = workload["interpreted_raw"]["_rows"]
-        return all(
-            workload[name]["_rows"] == baseline for name in CONFIGS
-        ) and parallel == baseline
-
-    def speedup(workload) -> float:
-        return workload["interpreted_raw"]["elapsed_s"] / max(
-            workload["fused_z"]["elapsed_s"], 1e-9
-        )
-
-    read_drop = 1.0 - (
-        likelihood["fused_z"]["logical_reads_per_run"]
-        / max(likelihood["fused_raw"]["logical_reads_per_run"], 1)
+    read_drop = 1.0 - reads(likelihood, "compressed") / max(
+        reads(likelihood, "raw"), 1
     )
 
     checks = [
         ShapeCheck(
-            claim=f"likelihood chain: >= {TEMPORARIES_FLOOR}x fewer "
-                  "ndarray temporaries",
-            paper="CSE + selection vectors beat one-temp-per-node",
-            measured=f"{temporaries_ratio:.1f}x fewer elements "
-                     f"({interp_el:,} -> {compiled_el:,}); "
-                     f"wide scan {wide_ratio:.1f}x",
-            holds=temporaries_ratio >= TEMPORARIES_FLOOR,
-        ),
-        ShapeCheck(
-            claim="fused kernels reduce wall time on both workloads",
-            paper="fewer temporaries, fewer touched rows, same answers",
-            measured=f"likelihood {speedup(likelihood):.2f}x, "
-                     f"wide {speedup(wide):.2f}x vs interpreted",
-            holds=(speedup(likelihood) > 1.0 and speedup(wide) > 1.0),
-        ),
-        ShapeCheck(
             claim="compressed pages cost fewer logical reads",
             paper="denser pages shrink the scanned working set",
-            measured=f"{likelihood['fused_raw']['logical_reads_per_run']} "
-                     f"-> {likelihood['fused_z']['logical_reads_per_run']} "
-                     f"reads ({read_drop * 100:.0f}% drop)",
-            holds=likelihood["fused_z"]["logical_reads_per_run"]
-            < likelihood["fused_raw"]["logical_reads_per_run"],
+            measured=f"{reads(likelihood, 'raw')} -> "
+                     f"{reads(likelihood, 'compressed')} reads "
+                     f"({read_drop * 100:.0f}% drop)",
+            holds=reads(likelihood, "compressed") < reads(likelihood, "raw"),
         ),
         ShapeCheck(
-            claim="all four corners and the morsel leg are byte-identical",
-            paper="kernels and codecs change cost, never answers",
-            measured=f"likelihood {likelihood['fused_z']['result_rows']} "
-                     f"rows, wide {wide['fused_z']['result_rows']} rows, "
-                     f"workers={MORSEL_WORKERS}",
-            holds=(corners_identical(likelihood, parallel_rows["likelihood"])
-                   and corners_identical(wide, parallel_rows["wide"])),
+            claim="compression on/off at 1 and "
+                  f"{MORSEL_WORKERS} workers is byte-identical",
+            paper="codecs and morsels change cost, never answers",
+            measured=f"likelihood {likelihood['raw']['result_rows']} "
+                     f"rows, wide {wide['raw']['result_rows']} rows",
+            holds=identical(likelihood) and identical(wide),
         ),
     ]
 
     payload = {
-        "temporaries_floor": TEMPORARIES_FLOOR,
         "morsel_workers": MORSEL_WORKERS,
-        "temporaries": {
-            "likelihood": {
-                "interpreted_elements": int(interp_el),
-                "compiled_elements": int(compiled_el),
-                "ratio": round(temporaries_ratio, 2),
-            },
-            "wide": {
-                "interpreted_elements": int(wide_interp_el),
-                "compiled_elements": int(wide_compiled_el),
-                "ratio": round(wide_ratio, 2),
-            },
-        },
-        "speedups": {
-            "likelihood_fused": round(speedup(likelihood), 2),
-            "wide_fused": round(speedup(wide), 2),
-        },
         "logical_read_drop": round(read_drop, 3),
         "workloads": {
-            "likelihood": {
-                name: {k: v for k, v in likelihood[name].items()
-                       if not k.startswith("_")}
-                for name in CONFIGS
-            },
-            "wide": {
-                name: {k: v for k, v in wide[name].items()
-                       if not k.startswith("_")}
-                for name in CONFIGS
-            },
+            name: {
+                arm: {k: v for k, v in workload[arm].items()
+                      if not k.startswith("_")}
+                for arm in CONFIGS
+            }
+            for name, workload in (("likelihood", likelihood),
+                                   ("wide", wide))
         },
         "checks": [
             {"claim": c.claim, "holds": bool(c.holds)} for c in checks
@@ -325,15 +232,7 @@ def _report(payload, checks):
         for name, configs in payload["workloads"].items()
         for config, m in configs.items()
     ]
-    lines.append(
-        "temporaries: likelihood "
-        f"{payload['temporaries']['likelihood']['ratio']}x fewer, wide "
-        f"{payload['temporaries']['wide']['ratio']}x fewer"
-    )
-    lines.append("speedups: " + ", ".join(
-        f"{k}={v}x" for k, v in payload["speedups"].items()
-    ))
-    print_report("Fused kernels + compressed pages", lines, checks)
+    print_report("Compressed pages", lines, checks)
 
 
 def test_kernels_bench():

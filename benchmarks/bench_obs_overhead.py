@@ -117,61 +117,6 @@ def measure_query_store_overhead(rounds: int = ROUNDS):
     return min(off), min(on), recorded
 
 
-#: Batch for the compiled-path arm: fused filter+projection kernels
-#: with CSE-heavy expressions — the shapes the expression compiler
-#: rewrites — so tracing overhead is pinned on the *new* hot path too.
-COMPILED_BATCH = (
-    "SELECT id, (v - w) * (v - w) AS chi FROM pts "
-    "WHERE v - w > 0.1 AND grp < 5 ORDER BY id",
-    "SELECT grp, COUNT(*) AS n FROM pts WHERE v + w < 1.0 "
-    "GROUP BY grp ORDER BY grp",
-    "SELECT id, ABS(v) + ABS(w) AS l1 FROM pts "
-    "WHERE ABS(v) + ABS(w) > 1.5 ORDER BY id",
-)
-
-
-def _build_compiled_db():
-    import numpy as np
-
-    from repro.engine.config import EngineConfig
-    from repro.engine.database import Database
-
-    db = Database("compiled_overhead", config=EngineConfig())
-    rng = np.random.default_rng(11)
-    n = 30_000
-    db.create_table(
-        "pts",
-        {"id": np.arange(n, dtype=np.int64),
-         "grp": (np.arange(n) % 9).astype(np.int64),
-         "v": rng.normal(size=n),
-         "w": rng.normal(size=n)},
-        primary_key="id",
-    )
-    db.sql("ANALYZE")
-    return db
-
-
-def measure_compiled_tracing_overhead(rounds: int = ROUNDS):
-    """Interleaved min-of-k batch wall on the compiled path:
-    (disabled_s, enabled_s)."""
-    db = _build_compiled_db()
-
-    def batch() -> float:
-        t0 = time.perf_counter()
-        for sql in COMPILED_BATCH:
-            db.sql(sql)
-        return time.perf_counter() - t0
-
-    batch()  # warm the lazily built kernels before timing starts
-    disabled, enabled = [], []
-    for _ in range(rounds):
-        set_enabled(False)
-        disabled.append(batch())
-        with tracing():
-            enabled.append(batch())
-    return min(disabled), min(enabled)
-
-
 def measure_noop_span_cost(calls: int = 200_000) -> float:
     """Seconds per span() entry/exit with tracing disabled."""
     set_enabled(False)
@@ -188,10 +133,8 @@ def run_and_check(workload, sky, kcorr):
     )
     noop_s = measure_noop_span_cost()
     qs_off_s, qs_on_s, qs_recorded = measure_query_store_overhead()
-    ck_off_s, ck_on_s = measure_compiled_tracing_overhead()
     overhead = enabled_s / disabled_s - 1.0
     qs_overhead = qs_on_s / qs_off_s - 1.0
-    ck_overhead = ck_on_s / ck_off_s - 1.0
 
     table = format_table(
         "Observer effect on the Table 1 workload (min of "
@@ -204,9 +147,6 @@ def run_and_check(workload, sky, kcorr):
             ["query store off", round(qs_off_s, 4), ""],
             ["query store on", round(qs_on_s, 4), ""],
             ["store overhead", f"{qs_overhead * 100:+.2f}%", ""],
-            ["compiled, tracing off", round(ck_off_s, 4), ""],
-            ["compiled, tracing on", round(ck_on_s, 4), ""],
-            ["compiled overhead", f"{ck_overhead * 100:+.2f}%", ""],
         ],
     )
     checks = [
@@ -237,13 +177,6 @@ def run_and_check(workload, sky, kcorr):
                      f"{qs_recorded} fingerprints tracked",
             holds=(qs_on_s <= qs_off_s * BUDGET_RATIO + BUDGET_SLACK_S
                    and qs_recorded == len(QS_BATCH)),
-        ),
-        ShapeCheck(
-            claim="tracing stays within the 5% budget on the compiled path",
-            paper="fused kernels must not make spans relatively expensive",
-            measured=f"{ck_on_s * 1e3:.2f} ms vs {ck_off_s * 1e3:.2f} ms "
-                     f"({ck_overhead * 100:+.2f}%)",
-            holds=ck_on_s <= ck_off_s * BUDGET_RATIO + BUDGET_SLACK_S,
         ),
     ]
     return table, checks

@@ -106,13 +106,6 @@ def _engine_flags() -> argparse.ArgumentParser:
                         help="record per-statement workload history, plan "
                         "changes and runtime stats in the Query Store "
                         "(queryable as sys_query_store_* tables)")
-    parent.add_argument("--compiled", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="fused expression kernels (CSE, short-circuit "
-                        "conjunction over selection vectors, late "
-                        "materialization; --no-compiled restores the "
-                        "interpreted expression walk — results are "
-                        "byte-identical either way)")
     parent.add_argument("--page-compression",
                         action=argparse.BooleanOptionalAction,
                         default=True,
@@ -136,7 +129,6 @@ def _engine_config(args):
         qerror_ceiling=(getattr(args, "qerror_ceiling", None)
                         or DEFAULT_QERROR_CEILING),
         query_store=bool(getattr(args, "query_store", False)),
-        compiled_expressions=bool(getattr(args, "compiled", True)),
         page_compression=bool(getattr(args, "page_compression", True)),
     )
 

@@ -97,8 +97,6 @@ def plan_fingerprint(stmt, database) -> tuple[str, str, set[str]] | None:
         except Exception:
             return None  # unrewritable shape: plan it fresh every time
         mode = f"{mode}+rewrite"
-    if getattr(database, "compiled_expressions", False):
-        mode = f"{mode}+compiled"
     return (
         statement_fingerprint(fingerprint_stmt, mode),
         normalize_statement(fingerprint_stmt),

@@ -1,17 +1,12 @@
 """EngineConfig: one object for every engine knob.
 
-The :class:`~repro.engine.database.Database` constructor accreted
-kwargs PR by PR — ``optimizer=``, ``band_joins=``,
-``intra_query_workers=``, and now the result-cache knobs.  This module
-consolidates them into a single frozen dataclass that the cluster,
-CasJobs and CLI layers pass through whole instead of re-plumbing each
-knob::
+Every knob a :class:`~repro.engine.database.Database` takes lives in a
+single frozen dataclass that the cluster, CasJobs and CLI layers pass
+through whole instead of re-plumbing each knob; the constructor takes
+only a name and the config::
 
     db = Database("dr1", config=EngineConfig(optimizer="cost",
                                              result_cache=True))
-
-The old per-knob kwargs keep working for one release via a mapping shim
-in ``Database.__init__`` that emits ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -71,12 +66,6 @@ class EngineConfig:
         constant folding, IN/EXISTS decorrelation, redundant-join
         elimination, ...).  On by default; ``rewrites=False`` restores
         the exact pre-rewrite plans.
-    compiled_expressions:
-        Lower Filter/Project/join-residual expressions into fused
-        single-pass kernels (common-subexpression elimination,
-        NaN-aware short-circuit conjunction over selection vectors,
-        late materialization of payload columns).  On by default;
-        results are byte-identical to the interpreted walk either way.
     page_compression:
         Choose a per-column page codec (dictionary encoding for
         low-NDV columns, run-length encoding for sorted/clustered
@@ -122,7 +111,6 @@ class EngineConfig:
     intra_query_workers: int = 1
     band_joins: bool = True
     rewrites: bool = True
-    compiled_expressions: bool = True
     page_compression: bool = True
     result_cache: bool = False
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
@@ -172,7 +160,6 @@ class EngineConfig:
             f",band_joins={int(self.band_joins)}"
             f",rewrites={int(self.rewrites)}"
             f",workers={self.intra_query_workers}"
-            f",compiled={int(self.compiled_expressions)}"
             f",pages={int(self.page_compression)}"
         )
 

@@ -11,7 +11,6 @@ yields the (elapsed, cpu, io) triples of Table 1.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +26,7 @@ from repro.engine.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.engine.expressions import batch_length
 from repro.engine.index import ClusteredIndex, HashIndex
 from repro.engine.matview import MaterializedView
-from repro.engine.pages import BufferPool, DEFAULT_POOL_PAGES
+from repro.engine.pages import BufferPool
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql.executor import Executor, QueryResult
 from repro.engine.sql.parser import parse, parse_script
@@ -35,10 +34,6 @@ from repro.engine.stats import IOCounters
 from repro.engine.table import Table
 from repro.engine.types import ColumnType, infer_type
 from repro.errors import EngineError, TableNotFoundError
-
-#: Marker distinguishing "kwarg not given" from an explicit value in the
-#: deprecated per-knob constructor shim.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -58,41 +53,11 @@ class Database:
     """A single-node database instance."""
 
     def __init__(
-        self,
-        name: str = "db",
-        pool_pages=_UNSET,
-        optimizer=_UNSET,
-        intra_query_workers=_UNSET,
-        band_joins=_UNSET,
-        *,
-        config: EngineConfig | None = None,
+        self, name: str = "db", *, config: EngineConfig | None = None
     ):
         from repro.engine.parallel import resolve_workers
 
-        legacy = {
-            key: value
-            for key, value in (
-                ("pool_pages", pool_pages),
-                ("optimizer", optimizer),
-                ("intra_query_workers", intra_query_workers),
-                ("band_joins", band_joins),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise EngineError(
-                    "pass engine knobs via config=EngineConfig(...) only; "
-                    f"got both config= and legacy kwargs {sorted(legacy)}"
-                )
-            warnings.warn(
-                f"Database({', '.join(sorted(legacy))}=...) kwargs are "
-                "deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = DEFAULT_ENGINE_CONFIG
 
         self.name = name
@@ -109,9 +74,6 @@ class Database:
         #: Run the logical rewrite pass between parse and plan (the
         #: planner reads this attribute; off restores pre-rewrite plans).
         self.rewrites_enabled = bool(config.rewrites)
-        #: Lower plan expressions into fused kernels (CSE + selection
-        #: vectors); the planner stamps ``compiled`` on every operator.
-        self.compiled_expressions = bool(config.compiled_expressions)
         #: Pick per-column page codecs from ANALYZE statistics so rows
         #: pack denser and scans cost fewer logical reads.
         self.page_compression = bool(config.page_compression)
@@ -540,8 +502,6 @@ class Database:
             except Exception:
                 return None  # unpriceable shape: skip caching, run it
             mode = f"{mode}+rewrite"
-        if self.compiled_expressions:
-            mode = f"{mode}+compiled"
         versions = tuple(
             sorted((t, self._tables[t].version) for t in tables)
         )
@@ -628,9 +588,11 @@ class Database:
             plan = None
             statement_text = text.strip()
             if isinstance(stmt, SelectStatement):
+                # log the plan that ran (forced, memoized or fresh),
+                # never a re-plan of the text
+                plan = result.plan
                 try:
                     statement_text = statement_to_sql(stmt)
-                    plan = self.explain(text)
                 except Exception:  # logging must never fail the query
                     pass
             slow_log.record(statement_text, elapsed, plan=plan,

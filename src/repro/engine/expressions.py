@@ -136,6 +136,43 @@ class ColumnRef(Expr):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
+def _is_number(expr: "Expr") -> bool:
+    """A numeric (not bool, not string) literal."""
+    return isinstance(expr, Literal) and isinstance(
+        expr.value, (int, float, np.integer, np.floating)
+    ) and not isinstance(expr.value, (bool, np.bool_))
+
+
+#: A one-row batch with no real columns: what constant expressions
+#: (literal-only calls, constant SELECT items, TVF arguments) evaluate
+#: over.
+ONE_ROW: Batch = {"__scalar": np.zeros(1)}
+
+
+def _operand(expr: "Expr", batch: Batch):
+    """An operator or function argument's value.
+
+    Numeric literals, and function calls over numeric literals only
+    (``POWER(0.57, 2)``), evaluate once as 0-d scalars instead of
+    full-length columns, so numpy takes its scalar fast path (an array
+    exponent makes ``np.power`` several times slower).  A 0-d array
+    promotes exactly like a column of its dtype, so results are
+    byte-identical to binding the literal as a full column.
+    """
+    if _is_number(expr):
+        return np.asarray(expr.value)
+    if isinstance(expr, FuncCall) and all(_is_number(a) for a in expr.args):
+        return expr.eval(ONE_ROW).reshape(())
+    return expr.eval(batch)
+
+
+def _rows(value, batch: Batch) -> np.ndarray:
+    """Broadcast an all-constant result back to one value per row."""
+    if np.ndim(value) == 0:
+        return np.full(batch_length(batch), value)
+    return value
+
+
 _ARITH: dict[str, Callable] = {
     "+": np.add,
     "-": np.subtract,
@@ -176,19 +213,21 @@ class BinaryOp(Expr):
             if left.all():
                 return left
             return left | np.asarray(self.right.eval(batch), dtype=bool)
-        lhs = self.left.eval(batch)
-        rhs = self.right.eval(batch)
-        if op in _ARITH:
-            if op == "/":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.divide(
-                        np.asarray(lhs, dtype=np.float64),
-                        np.asarray(rhs, dtype=np.float64),
-                    )
-            return _ARITH[op](lhs, rhs)
-        if op in _COMPARE:
-            return _COMPARE[op](lhs, rhs)
-        raise SqlPlanError(f"unknown binary operator '{self.op}'")
+        lhs = _operand(self.left, batch)
+        rhs = _operand(self.right, batch)
+        if op == "/":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = np.divide(
+                    np.asarray(lhs, dtype=np.float64),
+                    np.asarray(rhs, dtype=np.float64),
+                )
+        elif op in _ARITH:
+            value = _ARITH[op](lhs, rhs)
+        elif op in _COMPARE:
+            value = _COMPARE[op](lhs, rhs)
+        else:
+            raise SqlPlanError(f"unknown binary operator '{self.op}'")
+        return _rows(value, batch)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -376,7 +415,7 @@ class FuncCall(Expr):
             raise SqlPlanError(
                 f"function '{self.name}' expects {arity} args, got {len(self.args)}"
             )
-        return fn(*[a.eval(batch) for a in self.args])
+        return _rows(fn(*[_operand(a, batch) for a in self.args]), batch)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"

@@ -182,12 +182,7 @@ def instrument_plan(
                 if isinstance(value, PlanNode):
                     replacements[f.name] = wrap(value, depth + 1)
             if replacements:
-                compiled = node.compiled
                 node = dataclasses.replace(node, **replacements)
-                # replace() builds a fresh instance, losing the planner's
-                # in-place compiled stamp; restore it or ANALYZE would
-                # silently measure the interpreted path.
-                node.compiled = compiled
         return _Instrumented(node, stats, counters)
 
     return wrap(plan, 0), records

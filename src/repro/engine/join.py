@@ -61,17 +61,6 @@ def _row_bytes(*batches: Batch) -> int:
     return max(total, 1)
 
 
-def _predicate_kernel(node: PlanNode, predicate: Expr):
-    """Lazily compile a join's residual/theta predicate (one kernel per
-    plan node, shared across blocks and morsel workers)."""
-    kernel = getattr(node, "_kernel", None)
-    if kernel is None:
-        from repro.engine.compile import CompiledKernel
-
-        kernel = node._kernel = CompiledKernel(predicate=predicate)
-    return kernel
-
-
 @dataclass
 class HashJoin(PlanNode):
     """Equi-join: build a hash table on the smaller input, probe the other.
@@ -143,14 +132,9 @@ class HashJoin(PlanNode):
 
         joined = merge_batches(lbatch, left_rows, rbatch, right_rows)
         if self.residual is not None and batch_length(joined):
-            if self.compiled:
-                survivors = _predicate_kernel(self, self.residual).select(joined)
-                joined = take(joined, survivors)
-                left_rows = left_rows[survivors]
-            else:
-                mask = np.asarray(self.residual.eval(joined), dtype=bool)
-                joined = take(joined, mask)
-                left_rows = left_rows[mask]
+            mask = np.asarray(self.residual.eval(joined), dtype=bool)
+            joined = take(joined, mask)
+            left_rows = left_rows[mask]
 
         if not self.outer:
             return joined
@@ -185,10 +169,7 @@ class HashJoin(PlanNode):
         txt += f"{self.left_key} = {self.right_key}"
         if self.residual is not None:
             txt += f", residual {self.residual}"
-        txt += ")"
-        if self.compiled and self.residual is not None:
-            txt += f"  {_predicate_kernel(self, self.residual).describe()}"
-        return txt
+        return txt + ")"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -268,11 +249,6 @@ class BandJoin(PlanNode):
         any_invalid = bool(invalid.any())
 
         residual_keys = self._residual_keys(lbatch, rbatch)
-        residual_kernel = (
-            _predicate_kernel(self, self.residual)
-            if self.compiled and self.residual is not None
-            else None
-        )
 
         def block_task(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
             if lo is not None:
@@ -320,14 +296,9 @@ class BandJoin(PlanNode):
                 }
                 if not pair:
                     pair = {"__band": np.zeros(total)}
-                if residual_kernel is not None:
-                    survivors = residual_kernel.select(pair, total)
-                    l_rows = l_rows[survivors]
-                    r_rows = r_rows[survivors]
-                else:
-                    mask = np.asarray(self.residual.eval(pair), dtype=bool)
-                    l_rows = l_rows[mask]
-                    r_rows = r_rows[mask]
+                mask = np.asarray(self.residual.eval(pair), dtype=bool)
+                l_rows = l_rows[mask]
+                r_rows = r_rows[mask]
             return l_rows, r_rows
 
         block = self.block_rows or self.DEFAULT_BLOCK_ROWS
@@ -370,10 +341,7 @@ class BandJoin(PlanNode):
             txt += f", residual {self.residual}"
         if self.workers > 1:
             txt += f", workers={self.workers}"
-        txt += ")"
-        if self.compiled and self.residual is not None:
-            txt += f"  {_predicate_kernel(self, self.residual).describe()}"
-        return txt
+        return txt + ")"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -424,11 +392,6 @@ class NestedLoopJoin(PlanNode):
             )
 
         r_index = np.arange(n_right, dtype=np.int64)
-        kernel = (
-            _predicate_kernel(self, self.predicate)
-            if self.compiled and self.predicate is not None
-            else None
-        )
 
         def block_task(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
             block = stop - start
@@ -437,9 +400,6 @@ class NestedLoopJoin(PlanNode):
             if self.predicate is None:
                 return l_rows, r_rows
             pair_batch = merge_batches(lbatch, l_rows, rbatch, r_rows)
-            if kernel is not None:
-                survivors = kernel.select(pair_batch, l_rows.size)
-                return l_rows[survivors], r_rows[survivors]
             mask = np.asarray(self.predicate.eval(pair_batch), dtype=bool)
             return l_rows[mask], r_rows[mask]
 
@@ -462,10 +422,7 @@ class NestedLoopJoin(PlanNode):
         txt = f"NestedLoopJoin({self.predicate}"
         if self.workers > 1:
             txt += f", workers={self.workers}"
-        txt += ")"
-        if self.compiled and self.predicate is not None:
-            txt += f"  {_predicate_kernel(self, self.predicate).describe()}"
-        return txt
+        return txt + ")"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)

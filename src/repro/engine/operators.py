@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.expressions import Batch, Expr, batch_length
+from repro.engine.expressions import ONE_ROW, Batch, Expr, batch_length
 from repro.engine.index import ClusteredIndex
 from repro.engine.table import Table
 from repro.errors import SqlPlanError
@@ -48,14 +48,6 @@ class PlanNode:
     #: planning.  A class attribute so the operator dataclasses keep
     #: their positional constructors; instances overwrite it in place.
     est_rows: float | None = None
-
-    #: Fused-kernel execution, stamped by the planner when
-    #: ``EngineConfig(compiled_expressions=True)`` (the default).
-    #: Operators with expressions lower them into
-    #: :class:`~repro.engine.compile.CompiledKernel` programs (CSE +
-    #: selection vectors) instead of interpreting ``Expr.eval`` node by
-    #: node; results are byte-identical either way.
-    compiled: bool = False
 
     #: Logical-rewrite audit trail: one line per fired rule, stamped on
     #: the plan *root* by the planner when the rewrite pass changed the
@@ -170,10 +162,9 @@ class TableFunctionScan(PlanNode):
     name: str = "tvf"
 
     def execute(self) -> Batch:
-        scalar_batch: Batch = {"__scalar": np.zeros(1)}
         values = []
         for arg in self.args:
-            value = np.asarray(arg.eval(scalar_batch)).reshape(-1)[0]
+            value = np.asarray(arg.eval(ONE_ROW)).reshape(-1)[0]
             values.append(value.item() if hasattr(value, "item") else value)
         result = self.fn(*values)
         prefix = self.alias.lower()
@@ -204,23 +195,11 @@ class Filter(PlanNode):
     predicate: Expr
     workers: int = 1
 
-    def kernel(self):
-        """The lazily compiled predicate kernel (one per plan node,
-        shared across batches and morsel workers)."""
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            kernel = self._kernel = CompiledKernel(predicate=self.predicate)
-        return kernel
-
     def execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         if n == 0:
             return batch
-        if self.compiled:
-            return take(batch, self._select(batch, n))
         if self.workers > 1 and n > self.MORSEL_ROWS:
             from repro.engine.parallel import run_morsels
 
@@ -242,34 +221,8 @@ class Filter(PlanNode):
             mask = np.asarray(self.predicate.eval(batch), dtype=bool)
         return take(batch, mask)
 
-    def _select(self, batch: Batch, n: int) -> np.ndarray:
-        """Surviving row ids via the fused kernel (late materialization:
-        payload columns are gathered once, by the caller's ``take``)."""
-        kernel = self.kernel()
-        if self.workers > 1 and n > self.MORSEL_ROWS:
-            from repro.engine.parallel import run_morsels
-
-            def block_task(start: int, stop: int) -> np.ndarray:
-                piece = take(batch, slice(start, stop))
-                return kernel.select(piece, stop - start) + start
-
-            bounds = range(0, n, self.MORSEL_ROWS)
-            parts = run_morsels(
-                [
-                    (lambda s=start: block_task(s, min(s + self.MORSEL_ROWS, n)))
-                    for start in bounds
-                ],
-                workers=self.workers,
-                name="engine.morsel.filter",
-            )
-            return np.concatenate(parts)
-        return kernel.select(batch, n)
-
     def _describe(self) -> str:
-        base = f"Filter({self.predicate})"
-        if self.compiled:
-            base += f"  {self.kernel().describe()}"
-        return base
+        return f"Filter({self.predicate})"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -277,69 +230,14 @@ class Filter(PlanNode):
 
 @dataclass
 class Project(PlanNode):
-    """Compute output columns ``name <- expr``.
-
-    When ``compiled`` is stamped, outputs evaluate through one fused
-    kernel with CSE shared across the whole select list; a compiled
-    single-worker :class:`Filter` child is additionally *fused into*
-    the projection — the filter's selection vector flows straight into
-    the output expressions, so payload columns are touched only for
-    surviving rows and subexpressions shared between the predicate and
-    the select list are evaluated once.
-    """
+    """Compute output columns ``name <- expr``."""
 
     child: PlanNode
     outputs: list[tuple[str, Expr]]
 
-    def _fusable_child(self):
-        """The compiled Filter this projection can absorb, if any."""
-        child = self.child
-        if (
-            self.compiled
-            and isinstance(child, Filter)
-            and child.compiled
-            and child.workers <= 1
-        ):
-            return child
-        return None
-
-    def kernel(self):
-        """The lazily compiled projection kernel.  When a compiled
-        single-worker Filter child is fusable, its predicate joins the
-        program so selection and CSE span the whole chain."""
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            fused = self._fusable_child()
-            kernel = self._kernel = CompiledKernel(
-                predicate=fused.predicate if fused is not None else None,
-                outputs=self.outputs,
-            )
-        return kernel
-
     def execute(self) -> Batch:
-        fused = self._fusable_child()
-        if fused is not None:
-            batch = fused.child.execute()
-            n = batch_length(batch)
-            if n:
-                values = self.kernel().fused(batch, n)
-                return {
-                    name.lower(): value
-                    for (name, _), value in zip(self.outputs, values)
-                }
-            # empty input: the filter is a no-op; fall through and
-            # project the empty batch (matching the interpreted chain)
-        else:
-            batch = self.child.execute()
-            n = batch_length(batch)
-        if self.compiled and fused is None:
-            values = self.kernel().project_values(batch, n)
-            return {
-                name.lower(): value
-                for (name, _), value in zip(self.outputs, values)
-            }
+        batch = self.child.execute()
+        n = batch_length(batch)
         out: Batch = {}
         for name, expr in self.outputs:
             value = np.asarray(expr.eval(batch))
@@ -349,10 +247,7 @@ class Project(PlanNode):
 
     def _describe(self) -> str:
         cols = ", ".join(name for name, _ in self.outputs)
-        base = f"Project({cols})"
-        if self.compiled:
-            base += f"  {self.kernel().describe()}"
-        return base
+        return f"Project({cols})"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -370,30 +265,15 @@ class ProjectPassthrough(PlanNode):
     child: PlanNode
     outputs: list[tuple[str, Expr]]
 
-    def kernel(self):
-        kernel = getattr(self, "_kernel", None)
-        if kernel is None:
-            from repro.engine.compile import CompiledKernel
-
-            kernel = self._kernel = CompiledKernel(outputs=self.outputs)
-        return kernel
-
     def execute(self) -> Batch:
         batch = self.child.execute()
         n = batch_length(batch)
         out: Batch = dict(batch)
-        if self.compiled:
-            values = self.kernel().project_values(batch, n)
-        else:
-            values = None
-        for index, (name, expr) in enumerate(self.outputs):
+        for name, expr in self.outputs:
             key = name.lower()
-            if values is not None:
-                value = values[index]
-            else:
-                value = np.asarray(expr.eval(batch))
-                if value.shape != (n,):
-                    value = np.broadcast_to(value, (n,)).copy()
+            value = np.asarray(expr.eval(batch))
+            if value.shape != (n,):
+                value = np.broadcast_to(value, (n,)).copy()
             if key in out and not np.array_equal(out[key], value):
                 raise SqlPlanError(
                     f"select alias '{name}' collides with an input column"
@@ -403,10 +283,7 @@ class ProjectPassthrough(PlanNode):
 
     def _describe(self) -> str:
         cols = ", ".join(name for name, _ in self.outputs)
-        base = f"ProjectPassthrough({cols})"
-        if self.compiled:
-            base += f"  {self.kernel().describe()}"
-        return base
+        return f"ProjectPassthrough({cols})"
 
     def _children(self) -> tuple[PlanNode, ...]:
         return (self.child,)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.expressions import Batch, batch_length
+from repro.engine.expressions import ONE_ROW, Batch, batch_length
 from repro.engine.sql.ast import (
     AnalyzeStatement,
     CreateMaterializedViewStatement,
@@ -29,9 +29,6 @@ from repro.engine.sql.planner import Planner
 from repro.engine.types import sql_type
 from repro.engine.schema import Column, TableSchema
 from repro.errors import SqlPlanError
-
-#: Dummy one-row batch used to evaluate constant expressions.
-_SCALAR_BATCH: Batch = {"__scalar": np.zeros(1)}
 
 
 @dataclass
@@ -180,7 +177,7 @@ class Executor:
     def _exec(self, stmt: ExecStatement) -> QueryResult:
         values = []
         for arg in stmt.arguments:
-            value = np.asarray(arg.eval(_SCALAR_BATCH)).reshape(-1)[0]
+            value = np.asarray(arg.eval(ONE_ROW)).reshape(-1)[0]
             values.append(value.item() if hasattr(value, "item") else value)
         result = self.database.call_procedure(stmt.procedure, *values)
         if isinstance(result, QueryResult):
@@ -201,7 +198,7 @@ class Executor:
                 if item.expr is None:
                     raise SqlPlanError("SELECT * requires a FROM clause")
                 name = item.alias or f"col{pos}"
-                value = np.asarray(item.expr.eval(_SCALAR_BATCH))
+                value = np.asarray(item.expr.eval(ONE_ROW))
                 out[name.lower()] = np.broadcast_to(value, (1,)).copy()
             return QueryResult(columns=out)
         feedback = getattr(self.database, "feedback", None)
@@ -303,7 +300,7 @@ class Executor:
                         f"INSERT row has {len(row)} values, expected {width}"
                     )
                 for slot, expr in enumerate(row):
-                    value = np.asarray(expr.eval(_SCALAR_BATCH))
+                    value = np.asarray(expr.eval(ONE_ROW))
                     columns[slot].append(value.reshape(-1)[0])
             data = {
                 name: np.asarray(values)

@@ -327,8 +327,6 @@ class Planner:
         workers = getattr(self.database, "intra_query_workers", 1)
         if workers > 1:
             _stamp_workers(plan, workers)
-        if getattr(self.database, "compiled_expressions", False):
-            _stamp_compiled(plan)
         if trace:
             plan.rewrite_trace = trace
         return plan
@@ -1168,17 +1166,6 @@ def _stamp_workers(plan: PlanNode, workers: int) -> None:
         plan.workers = workers
     for child in plan._children():
         _stamp_workers(child, workers)
-
-
-def _stamp_compiled(plan: PlanNode) -> None:
-    """Mark every operator for fused-kernel execution
-    (``EngineConfig(compiled_expressions=True)``).  Operators without
-    expressions ignore the flag; the ones with lower their trees into
-    :class:`~repro.engine.compile.CompiledKernel` programs lazily on
-    first execution."""
-    plan.compiled = True
-    for child in plan._children():
-        _stamp_compiled(child)
 
 
 def _band_bounds(

@@ -81,12 +81,10 @@ def make_tables(seed: int) -> tuple[dict, dict, dict]:
 def make_database(t1: dict, t2: dict, t3: dict, optimizer: str = "cost",
                   result_cache: bool = False,
                   rewrites: bool = True,
-                  compiled: bool = True,
                   page_compression: bool = True,
                   workers: int = 1) -> Database:
     config = EngineConfig(optimizer=optimizer, result_cache=result_cache,
                           rewrites=rewrites,
-                          compiled_expressions=compiled,
                           page_compression=page_compression,
                           intra_query_workers=workers)
     db = Database("diff", config=config)
@@ -574,8 +572,8 @@ def assert_rows_byte_identical(a: list[dict], b: list[dict],
                                query: str) -> None:
     """Exact equality, row order included — no isclose tolerance.
 
-    The compiled-kernel and page-compression paths promise *byte*
-    identity with the interpreted/raw paths: same float arithmetic in
+    The page-compression and morsel-parallel paths promise *byte*
+    identity with the raw sequential path: same float arithmetic in
     the same order, so even the last ulp must agree.
     """
     assert len(a) == len(b), f"row count {len(a)} != {len(b)}\n{query}"
@@ -589,50 +587,46 @@ def assert_rows_byte_identical(a: list[dict], b: list[dict],
             assert va == vb, f"{key}: {va!r} != {vb!r}\n{query}"
 
 
-#: (compiled_expressions, page_compression) — all four mode corners.
-KERNEL_MODES = ((True, True), (True, False), (False, True), (False, False))
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", DATASET_SEEDS)
-def test_differential_compiled_modes_byte_identity(seed):
-    """The whole corpus across all four compiled x compression corners.
+def test_differential_compression_modes_byte_identity(seed):
+    """The whole corpus with page compression on and off, plus a
+    4-worker morsel leg.
 
-    Every corner must match the numpy oracle row for row, and every
-    corner must be *byte-identical* (exact equality, ordering included)
-    to the all-off baseline — fused kernels and compressed pages change
+    Every leg must match the numpy oracle row for row, and be
+    *byte-identical* (exact equality, ordering included) to the raw
+    sequential baseline — compressed pages and morsel workers change
     cost, never answers.
     """
     t1, t2, t3 = make_tables(seed)
-    dbs = {mode: make_database(t1, t2, t3, compiled=mode[0],
-                               page_compression=mode[1])
-           for mode in KERNEL_MODES}
+    baseline_db = make_database(t1, t2, t3, page_compression=False)
+    others = [make_database(t1, t2, t3),
+              make_database(t1, t2, t3, workers=4)]
 
     for sql, oracle_rows, ordered in iter_corpus(seed):
-        baseline = dbs[(False, False)].sql(sql).rows()
+        baseline = baseline_db.sql(sql).rows()
         assert_rows_equal(baseline, oracle_rows, sql, ordered=ordered)
-        for mode in KERNEL_MODES[:-1]:
-            assert_rows_byte_identical(dbs[mode].sql(sql).rows(),
-                                       baseline, sql)
+        for db in others:
+            assert_rows_byte_identical(db.sql(sql).rows(), baseline, sql)
 
 
-def test_compiled_differential_smoke():
-    """CI smoke subset: two draws per template, all four kernel modes,
-    plus a morsel-parallel compiled leg — byte identity throughout."""
+def test_compression_differential_smoke():
+    """CI smoke subset: two draws per template, compression on and off
+    plus a 4-worker morsel leg — byte identity throughout."""
     seed = DATASET_SEEDS[0]
     t1, t2, t3 = make_tables(seed)
-    dbs = [make_database(t1, t2, t3, compiled=c, page_compression=p)
-           for c, p in KERNEL_MODES]
-    parallel = make_database(t1, t2, t3, workers=4)
+    baseline_db = make_database(t1, t2, t3, page_compression=False)
+    others = [make_database(t1, t2, t3),
+              make_database(t1, t2, t3, workers=4)]
     rng = np.random.default_rng(seed * 1000 + 7)
 
     ran = 0
     for template in TEMPLATES:
         for _ in range(2):
             sql, oracle_rows, ordered = template(rng, t1, t2, t3)
-            baseline = dbs[-1].sql(sql).rows()
+            baseline = baseline_db.sql(sql).rows()
             assert_rows_equal(baseline, oracle_rows, sql, ordered=ordered)
-            for db in [*dbs[:-1], parallel]:
+            for db in others:
                 assert_rows_byte_identical(db.sql(sql).rows(), baseline, sql)
             ran += 1
     assert ran == 2 * len(TEMPLATES)

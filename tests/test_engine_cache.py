@@ -68,17 +68,23 @@ class TestEngineConfig:
         assert d.optimizer_mode == "syntactic"
         assert d.result_cache is None  # off by default
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            d = Database("legacy", optimizer="syntactic",
-                         intra_query_workers=2)
-        assert d.config.optimizer == "syntactic"
-        assert d.config.intra_query_workers == 2
+    def test_legacy_kwargs_rejected(self):
+        # knobs travel only inside EngineConfig
+        with pytest.raises(TypeError):
+            Database("legacy", optimizer="syntactic")
+        with pytest.raises(TypeError):
+            Database("legacy", 1024)
 
-    def test_legacy_kwargs_and_config_conflict(self):
-        with pytest.raises(EngineError):
-            Database("both", optimizer="cost",
-                     config=EngineConfig())
+    def test_engine_config_knobs_and_signature(self):
+        import dataclasses
+
+        assert len(dataclasses.fields(EngineConfig)) == 16
+        assert EngineConfig().page_compression is True
+        assert EngineConfig().plan_signature() == (
+            "optimizer=cost,band_joins=1,rewrites=1,workers=1,pages=1"
+        )
+        off = EngineConfig(page_compression=False)
+        assert "pages=0" in off.plan_signature()
 
 
 class TestResultCacheUnit:

@@ -152,3 +152,46 @@ class TestEngineWiring:
         assert entries[-1].max_q_error is not None
         assert entries[-1].max_q_error >= 1.0
         log.clear()
+
+    def test_logs_the_plan_that_ran_not_a_replan(self):
+        """A forced plan that no longer matches what the planner would
+        pick today: the log must show the forced plan, as it ran."""
+        import numpy as np
+
+        from repro.engine.config import EngineConfig
+        from repro.engine.database import Database
+
+        db = Database("forcedlog", config=EngineConfig(query_store=True))
+        db.create_table(
+            "t", {"id": np.arange(60, dtype=np.int64),
+                  "grp": (np.arange(60) % 5).astype(np.int64)},
+            primary_key="id",
+        )
+        db.create_table(
+            "u", {"id": np.arange(40, dtype=np.int64),
+                  "grp": (np.arange(40) % 5).astype(np.int64)},
+        )
+        db.sql("ANALYZE")
+        sql = "SELECT COUNT(*) AS n FROM t JOIN u ON t.grp = u.grp"
+        db.sql(sql)
+        fp = db.statement_key(sql)
+        db.force_plan(fp, db.query_store.query(fp).current_plan_id)
+        # the data changes under the pin: u outgrows t, so a fresh plan
+        # would flip the join's sides
+        db.sql("INSERT INTO u SELECT id + 40, grp FROM u")
+        db.sql("INSERT INTO u SELECT id + 80, grp FROM u")
+        db.sql("ANALYZE")
+        assert db.explain(sql) != db.query_store.plan(
+            db.query_store.query(fp).current_plan_id).plan_text
+        log = get_slow_log()
+        old_threshold = log.threshold_s
+        log.clear()
+        log.set_threshold(0.0)
+        try:
+            result = db.sql(sql)
+        finally:
+            log.set_threshold(old_threshold)
+        assert result.plan_origin == "forced"
+        latest = log.entries()[-1]
+        assert latest.plan == result.plan
+        log.clear()
