@@ -13,7 +13,12 @@ arms interleaved and min-of-k per arm so OS noise cancels, and pins:
 * the Query Store arm: recording every fingerprinted SELECT into the
   workload history (``EngineConfig(query_store=True)``) stays within
   the same 5% budget on a SQL batch, measured against an identical
-  feedback-only engine.
+  feedback-only engine;
+* the small-statement arm (reported, not gated): median microseconds
+  per ``Database.sql`` call for a 1k-row filtered ``SELECT ... LIMIT
+  10`` with a fresh literal every time, so every store misses — the
+  default engine, each store alone, and all three together.  This is
+  where a store's per-statement cost (keying, recording) shows most.
 
 Run standalone (``python benchmarks/bench_obs_overhead.py``) or under
 pytest-benchmark (``pytest benchmarks/bench_obs_overhead.py``).
@@ -117,6 +122,56 @@ def measure_query_store_overhead(rounds: int = ROUNDS):
     return min(off), min(on), recorded
 
 
+#: Configs of the small-statement arm: the default engine, each store
+#: alone, and all three together.
+STATEMENT_CONFIGS = {
+    "default": {},
+    "result_cache": {"result_cache": True},
+    "feedback": {"feedback": True},
+    "query_store": {"query_store": True},
+    "all three": {"result_cache": True, "feedback": True,
+                  "query_store": True},
+}
+#: statements timed per config in the small-statement arm
+STATEMENT_RUNS = 300
+
+
+def measure_statement_overhead(runs: int = STATEMENT_RUNS) -> dict:
+    """Median seconds per small SELECT, per config (interleaved).
+
+    Each run uses a distinct literal, so the result cache, the plan
+    memo and the Query Store all see a new fingerprint: the figure is
+    the per-statement cost of keying and recording, not of a hit.
+    """
+    import statistics
+
+    import numpy as np
+
+    from repro.engine.config import EngineConfig
+    from repro.engine.database import Database
+
+    rng = np.random.default_rng(5)
+    columns = {"id": np.arange(1000, dtype=np.int64),
+               "x": rng.uniform(0.0, 1.0, 1000),
+               "g": (np.arange(1000) % 7).astype(np.int64)}
+    dbs = {}
+    for name, knobs in STATEMENT_CONFIGS.items():
+        db = Database(f"stmt_{name}", config=EngineConfig(**knobs))
+        db.create_table("t", dict(columns), primary_key="id")
+        db.sql("ANALYZE")
+        dbs[name] = db
+    samples: dict[str, list[float]] = {name: [] for name in dbs}
+    for i in range(runs):
+        sql = (f"SELECT id, x FROM t WHERE x > {i / (2 * runs):.6f} "
+               "AND g = 3 LIMIT 10")
+        for name, db in dbs.items():
+            t0 = time.perf_counter()
+            db.sql(sql)
+            samples[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(values)
+            for name, values in samples.items()}
+
+
 def measure_noop_span_cost(calls: int = 200_000) -> float:
     """Seconds per span() entry/exit with tracing disabled."""
     set_enabled(False)
@@ -133,6 +188,7 @@ def run_and_check(workload, sky, kcorr):
     )
     noop_s = measure_noop_span_cost()
     qs_off_s, qs_on_s, qs_recorded = measure_query_store_overhead()
+    statement_s = measure_statement_overhead()
     overhead = enabled_s / disabled_s - 1.0
     qs_overhead = qs_on_s / qs_off_s - 1.0
 
@@ -148,6 +204,15 @@ def run_and_check(workload, sky, kcorr):
             ["query store on", round(qs_on_s, 4), ""],
             ["store overhead", f"{qs_overhead * 100:+.2f}%", ""],
         ],
+    )
+    default_s = statement_s["default"]
+    statements = format_table(
+        "Per-statement cost of the stores: 1k-row SELECT ... LIMIT 10, "
+        f"fresh literal each run (median of {STATEMENT_RUNS}; reported, "
+        "not gated)",
+        ["config", "us/statement", "vs default"],
+        [[name, round(seconds * 1e6, 1), f"{seconds / default_s:.2f}x"]
+         for name, seconds in statement_s.items()],
     )
     checks = [
         ShapeCheck(
@@ -179,7 +244,7 @@ def run_and_check(workload, sky, kcorr):
                    and qs_recorded == len(QS_BATCH)),
         ),
     ]
-    return table, checks
+    return [table, statements], checks
 
 
 @pytest.mark.benchmark(group="obs-overhead")
@@ -191,8 +256,8 @@ def test_obs_overhead(benchmark, workload, sky, sql_kcorr):
         return holder["out"]
 
     benchmark.pedantic(once, rounds=1, iterations=1)
-    table, checks = holder["out"]
-    print_report("Tracing observer effect", [table], checks)
+    tables, checks = holder["out"]
+    print_report("Tracing observer effect", tables, checks)
     assert all(c.holds for c in checks), [c.claim for c in checks if not c.holds]
 
 
@@ -202,10 +267,10 @@ def main() -> int:
 
     workload = active_workload()
     warmup(workload)
-    table, checks = run_and_check(
+    tables, checks = run_and_check(
         workload, sky_for(workload), kcorr_for(workload.sql)
     )
-    print_report("Tracing observer effect", [table], checks)
+    print_report("Tracing observer effect", tables, checks)
     return 0 if all(c.holds for c in checks) else 1
 
 

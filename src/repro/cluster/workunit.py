@@ -181,6 +181,10 @@ def execute_workunit(
     if unit.fault is not None:
         unit.fault.maybe_fail(unit.server)
     in_child = unit.trace is not None and os.getpid() != unit.trace.pid
+    if in_child:
+        # A fork-started child inherits the parent's recorded spans;
+        # start empty so only this unit's spans ship back.
+        get_tracer().clear()
     if unit.trace is not None:
         # A spawn-started child resets module globals: re-enable tracing
         # so the partition span below actually records.  Harmless when

@@ -51,35 +51,25 @@ def normalize_statement(stmt: SelectStatement | UnionStatement) -> str:
     return statement_to_sql(stmt)
 
 
-def statement_fingerprint(
-    stmt: SelectStatement | UnionStatement, optimizer_mode: str = "cost"
-) -> str:
-    """Hash of the normalized statement plus the planner mode.
-
-    The mode is part of the key because the cached entry carries the
-    plan text that produced it; two modes give identical rows but
-    different EXPLAIN output.
-    """
-    normalized = normalize_statement(stmt)
-    digest = hashlib.sha256(
-        f"{optimizer_mode}\x00{normalized}".encode()
-    ).hexdigest()
-    return digest[:32]
-
-
 def plan_fingerprint(stmt, database) -> tuple[str, str, set[str]] | None:
-    """``(fingerprint, normalized_sql, tables)`` for a trackable SELECT.
+    """``(fingerprint, normalized_sql, tables)`` for a trackable query.
 
     The one keying rule shared by the result cache, the plan memo and
-    the Query Store: the fingerprint hashes the printer-normalized,
-    *post-rewrite* statement under a mode tag (``cost+rewrite`` etc.),
-    so rewrite-equivalent spellings share one identity while
-    rewrites-on and rewrites-off instances never cross-match.  Returns
-    None for statements that must not be tracked: non-SELECTs, TVF or
+    the Query Store, computed once per statement by ``Database.sql``:
+    the fingerprint hashes the printer-normalized, *post-rewrite*
+    statement under a mode tag (``cost+rewrite`` etc.), so
+    rewrite-equivalent spellings share one identity while rewrites-on
+    and rewrites-off instances never cross-match (the planner mode is
+    part of it because a cached entry carries the plan text that
+    produced it: two modes give identical rows but different EXPLAIN
+    output).  ``UNION ALL`` statements are keyed for the result cache
+    only.  Invalidation tables come from the original statement —
+    rewrites only ever drop relations, never add them.  Returns None
+    for statements that must not be tracked: non-queries, TVF or
     unknown-name readers, anything planned while a matview is
     (re)materializing, and unrewritable shapes.
     """
-    if not isinstance(stmt, SelectStatement):
+    if not isinstance(stmt, (SelectStatement, UnionStatement)):
         return None
     if getattr(database, "_matview_plan_depth", 0):
         return None
@@ -97,11 +87,9 @@ def plan_fingerprint(stmt, database) -> tuple[str, str, set[str]] | None:
         except Exception:
             return None  # unrewritable shape: plan it fresh every time
         mode = f"{mode}+rewrite"
-    return (
-        statement_fingerprint(fingerprint_stmt, mode),
-        normalize_statement(fingerprint_stmt),
-        tables,
-    )
+    normalized = normalize_statement(fingerprint_stmt)
+    digest = hashlib.sha256(f"{mode}\x00{normalized}".encode()).hexdigest()
+    return digest[:32], normalized, tables
 
 
 def referenced_tables(

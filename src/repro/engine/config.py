@@ -21,26 +21,10 @@ from repro.errors import EngineError
 #: duplicated here to avoid importing the SQL layer at config time).
 _OPTIMIZER_MODES = ("cost", "syntactic")
 
-#: Default ceiling on cached result bytes per database (64 MiB — a
-#: fraction of the paper's 2 GB nodes, like a real plan/result cache).
-DEFAULT_CACHE_MAX_BYTES = 64 << 20
-
-#: Default ceiling on cached entries per database.
-DEFAULT_CACHE_MAX_ENTRIES = 512
-
 #: Default q-error ceiling before the feedback loop reacts: one node
 #: more than 8x off (in either direction) triggers targeted re-ANALYZE
 #: plus learned selectivity overrides and a re-plan.
 DEFAULT_QERROR_CEILING = 8.0
-
-#: Default ceiling on memoized plans per database.
-DEFAULT_PLAN_MEMO_ENTRIES = 256
-
-#: Default Query Store runtime-stat aggregation interval, seconds.
-DEFAULT_QUERY_STORE_INTERVAL_S = 60.0
-
-#: Default ceiling on fingerprints the Query Store tracks.
-DEFAULT_QUERY_STORE_MAX_QUERIES = 256
 
 
 @dataclass(frozen=True)
@@ -77,11 +61,6 @@ class EngineConfig:
         from a prior identical statement's result when every referenced
         table is unchanged since it was stored.  Off by default — the
         CasJobs service and the CLI turn it on for shared catalogs.
-    cache_max_bytes / cache_max_entries:
-        LRU eviction thresholds for the result cache.
-    cache_ttl_s:
-        Optional time-to-live for cached results; ``None`` means
-        entries live until invalidated or evicted.
     feedback:
         Enable the adaptive feedback optimizer: chosen plans are
         memoized per statement fingerprint (repeat executions skip
@@ -93,17 +72,17 @@ class EngineConfig:
         Max per-operator q-error tolerated before the feedback loop
         reacts.  Must be > 1 (a ceiling of 1 would re-plan every
         imperfect estimate forever).
-    plan_memo_entries:
-        LRU bound on memoized plans per database.
     query_store:
         Enable the Query Store: per-fingerprint runtime-stat intervals,
         full plan history, plan-regression detection and plan forcing,
         exposed as ``sys_query_store_*`` catalog tables and persisted
         by ``save_database``.  Off by default.
-    query_store_interval_s:
-        Length of one runtime-stat aggregation interval, seconds.
-    query_store_max_queries:
-        Ceiling on tracked fingerprints (least-recently-seen evicted).
+
+    The stores' bounds (cache bytes/entries, memo entries, Query Store
+    interval and tracked queries) are the defaults of
+    :class:`~repro.engine.cache.ResultCache`,
+    :class:`~repro.engine.memo.PlanMemo` and
+    :class:`~repro.obs.querystore.QueryStore`.
     """
 
     pool_pages: int = DEFAULT_POOL_PAGES
@@ -113,15 +92,9 @@ class EngineConfig:
     rewrites: bool = True
     page_compression: bool = True
     result_cache: bool = False
-    cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
-    cache_ttl_s: float | None = None
     feedback: bool = False
     qerror_ceiling: float = DEFAULT_QERROR_CEILING
-    plan_memo_entries: int = DEFAULT_PLAN_MEMO_ENTRIES
     query_store: bool = False
-    query_store_interval_s: float = DEFAULT_QUERY_STORE_INTERVAL_S
-    query_store_max_queries: int = DEFAULT_QUERY_STORE_MAX_QUERIES
 
     def __post_init__(self) -> None:
         if self.optimizer not in _OPTIMIZER_MODES:
@@ -131,18 +104,8 @@ class EngineConfig:
             )
         if self.pool_pages <= 0:
             raise EngineError("pool_pages must be positive")
-        if self.cache_max_bytes <= 0 or self.cache_max_entries <= 0:
-            raise EngineError("cache limits must be positive")
-        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
-            raise EngineError("cache_ttl_s must be positive (or None)")
         if self.qerror_ceiling <= 1.0:
             raise EngineError("qerror_ceiling must be > 1")
-        if self.plan_memo_entries <= 0:
-            raise EngineError("plan_memo_entries must be positive")
-        if self.query_store_interval_s <= 0:
-            raise EngineError("query_store_interval_s must be positive")
-        if self.query_store_max_queries <= 0:
-            raise EngineError("query_store_max_queries must be positive")
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy with the given fields changed (validation re-runs)."""
@@ -151,9 +114,8 @@ class EngineConfig:
     def plan_signature(self) -> str:
         """The planning-relevant knob set, as a stable string.
 
-        Part of every plan-memo key: two databases whose configs differ
-        in any knob that changes what the planner produces must never
-        cross-serve each other's memoized plans.
+        Recorded with every plan in the Query Store and the slow-query
+        log, so a plan is always read next to the knobs that shaped it.
         """
         return (
             f"optimizer={self.optimizer}"

@@ -17,13 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.cache import (
-    ResultCache,
-    referenced_tables,
-    statement_fingerprint,
-)
+from repro.engine.cache import ResultCache, plan_fingerprint, referenced_tables
 from repro.engine.config import DEFAULT_ENGINE_CONFIG, EngineConfig
-from repro.engine.expressions import batch_length
 from repro.engine.index import ClusteredIndex, HashIndex
 from repro.engine.matview import MaterializedView
 from repro.engine.pages import BufferPool
@@ -80,17 +75,10 @@ class Database:
         self.pool = BufferPool(config.pool_pages)
         #: Shared semantic result cache, or None when disabled.
         self.result_cache: ResultCache | None = (
-            ResultCache(
-                max_bytes=config.cache_max_bytes,
-                max_entries=config.cache_max_entries,
-                ttl_s=config.cache_ttl_s,
-            )
-            if config.result_cache
-            else None
+            ResultCache() if config.result_cache else None
         )
         #: Adaptive feedback optimizer (plan memo + q-error loop), or
-        #: None when disabled.  Built before the Executor so the
-        #: execution path can route SELECTs through it.
+        #: None when disabled.
         self.feedback = None
         if config.feedback:
             from repro.engine.optimizer.feedback import FeedbackController
@@ -104,10 +92,7 @@ class Database:
             from repro.engine.optimizer.planforce import PlanForcer
             from repro.obs.querystore import QueryStore
 
-            self.query_store = QueryStore(
-                interval_s=config.query_store_interval_s,
-                max_queries=config.query_store_max_queries,
-            )
+            self.query_store = QueryStore()
             self.plan_forcer = PlanForcer()
         self._tables: dict[str, Table] = {}
         self._clustered: dict[str, ClusteredIndex] = {}
@@ -210,10 +195,7 @@ class Database:
         self._clustered.pop(key, None)
         for hash_key in [k for k in self._hash if k[0] == key]:
             del self._hash[hash_key]
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(key)
-        if self.feedback is not None:
-            self.feedback.memo.invalidate_table(key)
+        self._evict_readers(key)
 
     # ------------------------------------------------------------------
     # views, table functions, procedures
@@ -440,18 +422,25 @@ class Database:
         """Mark indexes stale after DML; clustered order survives appends
         only logically — we rebuild lazily by dropping it.
 
-        Also eagerly drops result-cache entries that read the table.
-        (Version-keyed lookups would miss them regardless; dropping now
-        reclaims the memory and makes invalidation observable.)
+        Also eagerly drops cached results and memoized plans that read
+        the table.
         """
         self._clustered.pop(table_name.lower(), None)
         for hash_key in [k for k in self._hash if k[0] == table_name.lower()]:
             self._hash[hash_key].invalidate()
-        if self.result_cache is not None:
+        self._evict_readers(table_name)
+
+    def _evict_readers(self, table_name: str, results: bool = True) -> None:
+        """Drop stored entries that read a table: memoized plans, and
+        cached results unless ``results`` is False (ANALYZE changes
+        plans, never answers).
+
+        Version-keyed lookups would miss them regardless; dropping now
+        reclaims the memory and makes the invalidation observable.
+        """
+        if results and self.result_cache is not None:
             self.result_cache.invalidate_table(table_name)
         if self.feedback is not None:
-            # version-keyed memo lookups would miss anyway; eager drop
-            # reclaims the plans and makes the invalidation observable
             self.feedback.memo.invalidate_table(table_name)
 
     # ------------------------------------------------------------------
@@ -466,49 +455,13 @@ class Database:
             out[key] = table.version if table is not None else None
         return out
 
-    def _cache_key(self, stmt):
-        """``(key, tables)`` for a cacheable statement, else None.
+    def _result_versions(self, tables) -> tuple[tuple[str, int], ...]:
+        """The result cache's half of its key: sorted (table, version).
 
-        The key pairs the normalized-statement fingerprint with a
-        sorted (table, version) tuple, so any DML or load on a
-        referenced table makes subsequent lookups miss structurally.
-
-        With rewrites enabled the fingerprint hashes the *rewritten*
-        statement under a ``+rewrite``-tagged mode: a query and its
-        rewrite-equivalent forms (tautologies, no-op view wraps, CTE
-        spellings) share one cache entry, while a rewrites-off instance
-        can never cross-serve a rewrites-on entry or vice versa.
-        Invalidation tables come from the original statement — rewrites
-        only ever drop relations, never add them.
+        Data versions only: ANALYZE changes plans, never answers, so it
+        does not evict cached results.
         """
-        from repro.engine.sql.ast import SelectStatement, UnionStatement
-
-        if self.result_cache is None:
-            return None
-        if not isinstance(stmt, (SelectStatement, UnionStatement)):
-            return None
-        tables = referenced_tables(stmt, self)
-        if tables is None:
-            return None
-        mode = self.optimizer_mode
-        fingerprint_stmt = stmt
-        if self.rewrites_enabled:
-            from repro.engine.optimizer.rewrite import rewrite_statement
-
-            try:
-                fingerprint_stmt, _ = rewrite_statement(
-                    stmt, self, price=False
-                )
-            except Exception:
-                return None  # unpriceable shape: skip caching, run it
-            mode = f"{mode}+rewrite"
-        versions = tuple(
-            sorted((t, self._tables[t].version) for t in tables)
-        )
-        return (
-            (statement_fingerprint(fingerprint_stmt, mode), versions),
-            tables,
-        )
+        return tuple(sorted((t, self._tables[t].version) for t in tables))
 
     # ------------------------------------------------------------------
     # SQL entry points
@@ -516,10 +469,14 @@ class Database:
     def sql(self, text: str) -> QueryResult:
         """Parse and execute one SQL statement.
 
-        Execution runs inside an ``engine.sql`` trace span (a no-op
-        when tracing is disabled) and statements over the slow-query
-        threshold are recorded with their SQL text and — for SELECTs —
-        the plan that ran.
+        With the result cache, feedback or the Query Store on, the
+        statement is keyed once (:func:`repro.engine.cache.plan_fingerprint`)
+        and the key is handed down to the executor.  Execution runs
+        inside an ``engine.sql`` trace span (a no-op when tracing is
+        disabled).  Afterwards one fan-out, in order: the result is
+        cached, recorded in the Query Store (cache hits included), and
+        — over the slow-query threshold — logged with its SQL text and,
+        for SELECTs, the plan that ran.
         """
         import time as _time
 
@@ -527,38 +484,42 @@ class Database:
         from repro.obs.trace import span
 
         stmt = parse(text)
-        store = self.query_store
-        keyed = self._cache_key(stmt)
-        if keyed is not None:
-            key, tables = keyed
-            cache_started = _time.perf_counter()
-            entry = self.result_cache.get(key)  # type: ignore[union-attr]
-            if entry is not None:
-                if store is not None:
-                    # a cache hit ran no plan: attach it to the
-                    # fingerprint's current plan in the store
-                    store.record(
-                        fingerprint=key[0],
-                        sql="",
-                        elapsed_s=_time.perf_counter() - cache_started,
-                        rows=batch_length(entry.columns),
-                        decision="cache-hit",
-                        cache_hit=True,
-                    )
-                return QueryResult(
-                    columns=entry.columns,
-                    plan="[answered from cache]\n" + entry.plan
-                    if entry.plan else "[answered from cache]",
-                )
+        cache, store = self.result_cache, self.query_store
+        key = self._key(stmt)
+        cache_key = hit = None
+        if key is not None and cache is not None:
+            cache_key = (key[0], self._result_versions(key[2]))
         started = _time.perf_counter()
         cpu_started = _time.thread_time() if store is not None else 0.0
         reads_before = (
             self.pool.counters.logical_reads if store is not None else 0
         )
+        if cache_key is not None:
+            hit = cache.get(cache_key)
+        if hit is not None:
+            result = QueryResult(
+                columns=hit.columns,
+                plan="[answered from cache]\n" + hit.plan
+                if hit.plan else "[answered from cache]",
+            )
+            if store is not None:
+                # a cache hit ran no plan: it attaches to the
+                # fingerprint's current plan in the store
+                store.record(
+                    fingerprint=key[0],
+                    sql="",
+                    elapsed_s=_time.perf_counter() - started,
+                    rows=result.row_count,
+                    decision="cache-hit",
+                    cache_hit=True,
+                )
+            return result
         with span("engine.sql", layer="engine", counters=self.pool.counters,
                   attrs={"db": self.name, "sql": text.strip()[:200]}):
-            result = self._executor.execute(stmt)
+            result = self._executor.execute(stmt, key)
         elapsed = _time.perf_counter() - started
+        if cache_key is not None:
+            cache.put(cache_key, result.columns, result.plan, key[2])
         if store is not None and result.fingerprint is not None:
             store.record(
                 fingerprint=result.fingerprint,
@@ -574,11 +535,6 @@ class Database:
                 decision=result.memo_decision,
                 plan_origin=result.plan_origin,
                 plan_node=result.plan_node,
-                memo_hit=result.memo_decision == "hit",
-            )
-        if keyed is not None:
-            self.result_cache.put(  # type: ignore[union-attr]
-                key, result.columns, result.plan, tables
             )
         slow_log = get_slow_log()
         if slow_log.is_slow(elapsed):
@@ -608,7 +564,16 @@ class Database:
 
     def run_script(self, text: str) -> list[QueryResult]:
         """Execute a ';'-separated script, returning per-statement results."""
-        return [self._executor.execute(stmt) for stmt in parse_script(text)]
+        return [self._executor.execute(stmt, self._key(stmt))
+                for stmt in parse_script(text)]
+
+    def _key(self, stmt) -> tuple[str, str, set[str]] | None:
+        """The statement's one ``(fingerprint, sql, tables)`` key, or
+        None without keying work when no store is on."""
+        if (self.result_cache is None and self.query_store is None
+                and self.feedback is None):
+            return None
+        return plan_fingerprint(stmt, self)
 
     def explain_analyze(self, text: str, optimizer: str | None = None):
         """Execute a SELECT with per-operator instrumentation.
@@ -631,14 +596,12 @@ class Database:
         if not isinstance(stmt, SelectStatement):
             raise EngineError("EXPLAIN supports SELECT statements only")
         plan_text = Planner(self, optimizer).plan_select(stmt).explain()
-        keyed = (
-            self._cache_key(stmt)
-            if optimizer in (None, self.optimizer_mode)
-            else None
-        )
-        if keyed is not None:
-            key, _tables = keyed
-            if self.result_cache.peek(key) is not None:  # type: ignore[union-attr]
+        cache = self.result_cache
+        if cache is not None and optimizer in (None, self.optimizer_mode):
+            key = plan_fingerprint(stmt, self)
+            if key is not None and cache.peek(
+                (key[0], self._result_versions(key[2]))
+            ) is not None:
                 return "[answered from cache]\n" + plan_text
         return plan_text
 
@@ -646,15 +609,13 @@ class Database:
     # query store and plan forcing
     # ------------------------------------------------------------------
     def statement_key(self, text: str) -> str | None:
-        """The fingerprint one SELECT text is tracked under, or None.
+        """The fingerprint one query text is keyed under, or None.
 
         The join key across the Query Store, the plan memo, the
         feedback store and the slow-query log.
         """
-        from repro.engine.cache import plan_fingerprint
-
-        keyed = plan_fingerprint(parse(text), self)
-        return keyed[0] if keyed is not None else None
+        key = plan_fingerprint(parse(text), self)
+        return key[0] if key is not None else None
 
     def force_plan(self, fingerprint: str, plan_id: int):
         """Pin a fingerprint to a plan from its Query Store history.
@@ -731,8 +692,7 @@ class Database:
                 table.apply_compression(
                     choose_codecs(table.stats, table.schema)
                 )
-            if self.feedback is not None:
-                self.feedback.memo.invalidate_table(name)
+            self._evict_readers(name, results=False)
         return [n.lower() for n in names]
 
     # ------------------------------------------------------------------

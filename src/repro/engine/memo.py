@@ -4,16 +4,13 @@ Multi-user batch traffic is dominated by repeated statement shapes
 ("Batch is back: CasJobs") — so once the optimizer has chosen a plan
 for a normalized statement, repeat executions should not pay
 rewrite + DP planning again.  A :class:`PlanMemo` stores the chosen
-physical plan per ``(fingerprint, config signature)``:
-
-* the **fingerprint** hashes the printer-normalized, post-rewrite
-  statement (the same normalization the result cache uses), so
-  formatting, alias spelling and rewrite-equivalent forms share one
-  entry;
-* the **config signature** captures every planning-relevant knob
-  (optimizer mode, band joins, rewrites, morsel workers), so databases
-  with differing :class:`~repro.engine.config.EngineConfig`\\ s never
-  cross-serve plans.
+physical plan per statement fingerprint, which hashes the
+printer-normalized, post-rewrite statement (the same normalization the
+result cache uses), so formatting, alias spelling and
+rewrite-equivalent forms share one entry.  A memo belongs to one
+:class:`~repro.engine.database.Database`, whose
+:class:`~repro.engine.config.EngineConfig` is frozen, so the
+fingerprint alone is the key.
 
 Invalidation is structural, like the result cache's: each entry
 snapshots, per referenced table, the mutation ``version`` *and* the
@@ -35,23 +32,17 @@ from dataclasses import dataclass, field
 from repro.engine.operators import PlanNode
 from repro.obs.metrics import get_metrics
 
-#: Fully-qualified memo key: (statement fingerprint, config signature).
-MemoKey = tuple[str, str]
-
-
 @dataclass
 class MemoEntry:
     """One memoized physical plan and the state it was planned under."""
 
-    key: MemoKey
+    key: str
     plan: PlanNode
     tables: frozenset[str]
-    #: Per-table mutation counters at planning time.
-    table_versions: dict[str, int]
-    #: Per-table statistics generations at planning time.
-    stats_versions: dict[str, int]
-    #: Learned-override generation at planning time.
-    overrides_version: int
+    #: Per-table mutation and statistics generations plus the
+    #: learned-override generation at planning time (an opaque,
+    #: comparable snapshot).
+    versions: tuple
     #: Seconds the planner spent producing this plan (what a hit saves).
     planning_s: float = 0.0
     #: The planning decision that produced the plan (miss / replan /
@@ -94,7 +85,7 @@ class PlanMemo:
     ):
         self.max_entries = int(max_entries)
         self.stats = MemoStats()
-        self._entries: OrderedDict[MemoKey, MemoEntry] = OrderedDict()
+        self._entries: OrderedDict[str, MemoEntry] = OrderedDict()
         self._lock = threading.Lock()
         metrics = get_metrics()
         self._m_hits = metrics.counter(f"{metrics_prefix}.hits")
@@ -110,13 +101,7 @@ class PlanMemo:
         with self._lock:
             return len(self._entries)
 
-    def get(
-        self,
-        key: MemoKey,
-        table_versions: dict[str, int | None],
-        stats_versions: dict[str, int],
-        overrides_version: int,
-    ) -> MemoEntry | None:
+    def get(self, key: str, versions: tuple) -> MemoEntry | None:
         """Look up a plan; any version drift is a structural miss.
 
         A stale entry (table mutated, re-ANALYZEd, or overrides newer
@@ -125,11 +110,7 @@ class PlanMemo:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and (
-                entry.table_versions != table_versions
-                or entry.stats_versions != stats_versions
-                or entry.overrides_version != overrides_version
-            ):
+            if entry is not None and entry.versions != versions:
                 del self._entries[key]
                 self.stats.invalidations += 1
                 self._m_invalidations.inc()
@@ -146,12 +127,10 @@ class PlanMemo:
 
     def put(
         self,
-        key: MemoKey,
+        key: str,
         plan: PlanNode,
         tables: set[str] | frozenset[str],
-        table_versions: dict[str, int | None],
-        stats_versions: dict[str, int],
-        overrides_version: int,
+        versions: tuple,
         planning_s: float = 0.0,
         decision: str = "miss",
     ) -> MemoEntry:
@@ -160,9 +139,7 @@ class PlanMemo:
             key=key,
             plan=plan,
             tables=frozenset(t.lower() for t in tables),
-            table_versions=dict(table_versions),
-            stats_versions=dict(stats_versions),
-            overrides_version=overrides_version,
+            versions=versions,
             planning_s=planning_s,
             decision=decision,
         )
@@ -198,15 +175,13 @@ class PlanMemo:
         return len(doomed)
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every entry for one statement fingerprint (any config)."""
+        """Drop the entry for one statement fingerprint, if any."""
         with self._lock:
-            doomed = [key for key in self._entries if key[0] == fingerprint]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
-            if doomed:
-                self._m_invalidations.inc(len(doomed))
-        return len(doomed)
+            if self._entries.pop(fingerprint, None) is None:
+                return 0
+            self.stats.invalidations += 1
+            self._m_invalidations.inc()
+        return 1
 
     def clear(self) -> None:
         with self._lock:
@@ -245,7 +220,7 @@ class PlanMemo:
         for entry in self.entries():
             root = entry.plan.explain().splitlines()[0]
             lines.append(
-                f"  {entry.key[0][:12]}  hits={entry.hits}  "
+                f"  {entry.key[:12]}  hits={entry.hits}  "
                 f"planned_in={entry.planning_s * 1e3:.2f}ms  "
                 f"tables={','.join(sorted(entry.tables)) or '-'}  {root}"
             )

@@ -14,8 +14,10 @@ three pieces of state:
   by join column pair (equi joins) and by band key + predicate shape
   (band joins), applied multiplicatively by the cardinality estimator.
 
-Every SELECT executes instrumented.  After execution the controller
-folds the observed per-operator actuals back; when a fingerprint's max
+The executor resolves each SELECT's plan in one chain (forced plan,
+then this controller's memo, then the planner) and, while feedback is
+on, executes it instrumented.  After execution the controller folds
+the observed per-operator actuals back; when a fingerprint's max
 q-error exceeds the configured ceiling it reacts: targeted re-ANALYZE
 of the tables under the offending operators, override ratios computed
 against the *fresh* statistics (so the corrected estimate lands on the
@@ -25,20 +27,19 @@ pure function of stale statistics and become a converging function of
 observed execution.
 
 Obs: counters under ``engine.feedback.*`` and spans
-(``engine.plan`` / ``engine.feedback.observe`` /
-``engine.feedback.react``) cover every decision.
+(``engine.feedback.observe`` / ``engine.feedback.react``) cover every
+decision.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from dataclasses import dataclass, field
 
-from repro.engine.instrument import NodeStats, instrument_plan
+from repro.engine.instrument import NodeStats
 from repro.engine.join import BandJoin, HashJoin
-from repro.engine.memo import MemoEntry, PlanMemo
+from repro.engine.memo import PlanMemo
 from repro.engine.operators import IndexRangeScan, PlanNode, SeqScan
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -313,24 +314,13 @@ def _band_shape(low, high) -> tuple[str, str]:
             repr(high) if high is not None else "")
 
 
-@dataclass(frozen=True)
-class PlanKey:
-    """Everything needed to memoize / track one statement."""
-
-    memo_key: tuple[str, str]
-    fingerprint: str
-    tables: frozenset[str]
-    sql: str
-
-
 class FeedbackController:
     """The per-database feedback loop: memo + store + overrides."""
 
     def __init__(self, database, config):
         self.database = database
         self.ceiling = float(config.qerror_ceiling)
-        self.signature = config.plan_signature()
-        self.memo = PlanMemo(config.plan_memo_entries)
+        self.memo = PlanMemo()
         self.store = FeedbackStore()
         self.overrides = SelectivityOverrides()
         metrics = get_metrics()
@@ -349,41 +339,34 @@ class FeedbackController:
         )
 
     # ------------------------------------------------------------------
-    # keying
+    # the memo's view of the catalog
     # ------------------------------------------------------------------
-    def plan_key(self, stmt) -> PlanKey | None:
-        """Memo key for a statement, or None when it must not memoize.
+    def memo_versions(self, tables) -> tuple:
+        """The state a memoized plan depends on, as one snapshot.
 
-        Uses the same keying as the result cache and the Query Store
-        (:func:`repro.engine.cache.plan_fingerprint`): the fingerprint
-        hashes the printer-normalized, *post-rewrite* statement under a
-        mode tag, so rewrite-equivalent spellings share one plan.
-        Statements reading TVFs or unknown names — and anything planned
-        while a matview is (re)materializing — are not memoizable.
+        Per referenced table its mutation ``version`` and statistics
+        ``stats_version``, plus the learned-override generation: DML,
+        ANALYZE and new overrides all make a memo lookup miss.
         """
-        from repro.engine.cache import plan_fingerprint
-
-        keyed = plan_fingerprint(stmt, self.database)
-        if keyed is None:
-            return None
-        fingerprint, sql, tables = keyed
-        return PlanKey(
-            memo_key=(fingerprint, self.signature),
-            fingerprint=fingerprint,
-            tables=frozenset(t.lower() for t in tables),
-            sql=sql,
-        )
-
-    def stats_versions(self, tables) -> dict[str, int]:
-        """Live statistics generations for the named tables."""
-        out: dict[str, int] = {}
-        for name in tables:
-            key = name.lower()
-            table = self.database._tables.get(key)
-            out[key] = (
-                getattr(table, "stats_version", 0) if table is not None else -1
+        snapshot: list = [self.overrides.version]
+        for name in sorted(tables):
+            table = self.database._tables.get(name)
+            snapshot.append(
+                (name, table.version, table.stats_version)
+                if table is not None else (name, None, None)
             )
-        return out
+        return tuple(snapshot)
+
+    def take_replan(self, fingerprint: str) -> str | None:
+        """The re-plan reason a ceiling breach left for a fingerprint.
+
+        Consumed by the fingerprint's next planning, which reports it
+        as its memo decision (``replan`` / ``learned-override``).
+        """
+        reason = self.store.take_pending(fingerprint)
+        if reason is not None:
+            self._m_replans.inc()
+        return reason
 
     @staticmethod
     def memoizable(plan: PlanNode) -> bool:
@@ -397,92 +380,22 @@ class FeedbackController:
         return True
 
     # ------------------------------------------------------------------
-    # the execution path (called by Executor._select)
-    # ------------------------------------------------------------------
-    def execute_select(self, stmt, planner):
-        """Plan (or recall) a SELECT, execute instrumented, observe."""
-        from repro.engine.sql.executor import QueryResult
-
-        keyed = self.plan_key(stmt)
-        plan: PlanNode | None = None
-        decision: str | None = None
-        plan_origin: str | None = None
-        planning_s = 0.0
-        table_versions: dict[str, int | None] = {}
-        stats_versions: dict[str, int] = {}
-        forcer = getattr(self.database, "plan_forcer", None)
-        if keyed is not None and forcer is not None:
-            # a forced fingerprint bypasses memo and feedback: the
-            # operator pinned the plan, the loop must not fight it
-            started = time.perf_counter()
-            resolved = forcer.resolve(
-                keyed.fingerprint, lambda: planner.plan_select(stmt)
-            )
-            if resolved is not None:
-                plan, decision = resolved
-                plan_origin = decision
-                planning_s = time.perf_counter() - started
-        if plan is None and keyed is not None:
-            table_versions = self.database.table_versions(keyed.tables)
-            stats_versions = self.stats_versions(keyed.tables)
-            entry = self.memo.get(
-                keyed.memo_key, table_versions, stats_versions,
-                self.overrides.version,
-            )
-            if entry is not None:
-                plan = entry.plan
-                decision = "hit"
-                plan_origin = entry.decision
-        if plan is None:
-            pending = (
-                self.store.take_pending(keyed.fingerprint)
-                if keyed is not None else None
-            )
-            decision = pending or "miss"
-            plan_origin = decision
-            started = time.perf_counter()
-            with span(
-                "engine.plan", layer="engine",
-                attrs={
-                    "decision": decision,
-                    "fingerprint": keyed.fingerprint if keyed else "",
-                },
-            ):
-                plan = planner.plan_select(stmt)
-            planning_s = time.perf_counter() - started
-            if pending is not None:
-                self._m_replans.inc()
-            if keyed is not None and self.memoizable(plan):
-                self.memo.put(
-                    keyed.memo_key, plan, keyed.tables,
-                    table_versions, stats_versions,
-                    self.overrides.version, planning_s,
-                    decision=decision,
-                )
-        wrapped, records = instrument_plan(plan, self.database.pool.counters)
-        batch = wrapped.execute()
-        self.observe(keyed, plan, records, planning_s, decision)
-        return QueryResult(
-            columns=batch,
-            plan=plan.explain(),
-            fingerprint=keyed.fingerprint if keyed is not None else None,
-            memo_decision=decision,
-            plan_origin=plan_origin,
-            plan_node=plan,
-        )
-
-    # ------------------------------------------------------------------
     # folding actuals back
     # ------------------------------------------------------------------
     def observe(
         self,
-        keyed: PlanKey | None,
+        key: tuple[str, str, set[str]] | None,
         plan: PlanNode,
         records: list[NodeStats],
         planning_s: float,
         decision: str | None,
     ) -> float:
-        """Fold one execution's actuals into the store; maybe react."""
+        """Fold one execution's actuals into the store; maybe react.
+
+        ``key`` is the statement's ``(fingerprint, sql, tables)`` from
+        :func:`repro.engine.cache.plan_fingerprint`, or None for an
+        untracked statement (counted, never stored).
+        """
         with span("engine.feedback.observe", layer="engine",
                   attrs={"decision": decision or ""}):
             max_q = 1.0
@@ -492,16 +405,14 @@ class FeedbackController:
                     max_q = q
             self._m_executions.inc()
             self._h_max_q.observe(max_q)
-            if keyed is None:
+            if key is None:
                 return max_q
+            fingerprint, sql, _tables = key
             entry = self.store.record(
-                keyed.fingerprint, keyed.sql, max_q, planning_s, decision
+                fingerprint, sql, max_q, planning_s, decision
             )
-            forcer = getattr(self.database, "plan_forcer", None)
-            if (
-                forcer is not None
-                and forcer.get(keyed.fingerprint) is not None
-            ):
+            forcer = self.database.plan_forcer
+            if forcer is not None and forcer.get(fingerprint) is not None:
                 # the operator pinned this plan; reacting would install
                 # overrides and demand a re-plan the pin must ignore
                 return max_q
@@ -510,15 +421,15 @@ class FeedbackController:
                 with span(
                     "engine.feedback.react", layer="engine",
                     attrs={
-                        "fingerprint": keyed.fingerprint,
+                        "fingerprint": fingerprint,
                         "max_q": round(max_q, 2),
                     },
                 ):
-                    self._react(keyed, plan, records)
+                    self._react(fingerprint, plan, records)
             return max_q
 
     def _react(
-        self, keyed: PlanKey, plan: PlanNode, records: list[NodeStats]
+        self, fingerprint: str, plan: PlanNode, records: list[NodeStats]
     ) -> None:
         """Ceiling breached: re-ANALYZE offenders, learn ratios, re-plan.
 
@@ -529,8 +440,8 @@ class FeedbackController:
         """
         nodes = _walk_preorder(plan)
         if len(nodes) != len(records):  # defensive: never corrupt state
-            self.store.set_pending(keyed.fingerprint, "replan")
-            self.memo.invalidate_fingerprint(keyed.fingerprint)
+            self.store.set_pending(fingerprint, "replan")
+            self.memo.invalidate_fingerprint(fingerprint)
             return
         stats_by_node = {id(node): rec for node, rec in zip(nodes, records)}
         offenders = [
@@ -555,16 +466,16 @@ class FeedbackController:
             if not isinstance(node, (HashJoin, BandJoin)):
                 continue
             installed += self._learn_join_ratio(
-                keyed.fingerprint, node, rec, stats_by_node
+                fingerprint, node, rec, stats_by_node
             )
         if installed:
             self._m_overrides.inc(installed)
 
         # 3. force the re-plan: drop this fingerprint's memo entries and
         #    flag the store so the next planning reports its decision
-        self.memo.invalidate_fingerprint(keyed.fingerprint)
+        self.memo.invalidate_fingerprint(fingerprint)
         self.store.set_pending(
-            keyed.fingerprint,
+            fingerprint,
             "learned-override" if installed else "replan",
         )
 

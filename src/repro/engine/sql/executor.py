@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.engine.expressions import ONE_ROW, Batch, batch_length
+from repro.engine.instrument import instrument_plan
 from repro.engine.sql.ast import (
     AnalyzeStatement,
     CreateMaterializedViewStatement,
@@ -38,12 +40,13 @@ class QueryResult:
     ``columns`` is the output batch for SELECTs (empty for DDL/DML);
     ``rows_affected`` counts DML effects; ``plan`` is the EXPLAIN text
     for SELECTs.  With the feedback optimizer or the Query Store on,
-    ``fingerprint`` carries the normalized-statement hash and
-    ``memo_decision`` records how the plan was obtained (``hit`` /
-    ``miss`` / ``replan`` / ``learned-override`` / ``forced`` / ...)
-    so results join cleanly against the FeedbackStore, the Query Store
-    and the slow-query log.  ``plan_origin`` is the decision that first
-    *produced* the plan (differs from ``memo_decision`` on memo hits);
+    ``fingerprint`` carries the statement's one key (see
+    :func:`repro.engine.cache.plan_fingerprint`) and ``memo_decision``
+    records how the plan was obtained (``hit`` / ``miss`` / ``replan``
+    / ``learned-override`` / ``forced`` / ..., or the optimizer mode
+    with the Query Store alone) so results join cleanly against the
+    FeedbackStore, the Query Store and the slow-query log.
+    ``plan_origin`` is the decision that first *produced* the plan (differs from ``memo_decision`` on memo hits);
     ``plan_node`` is the live operator tree for SELECTs, which the
     Query Store hashes into a structural plan identity.
     """
@@ -99,9 +102,10 @@ class Executor:
         self.database = database
         self.planner = Planner(database)
 
-    def execute(self, stmt: Statement) -> QueryResult:
+    def execute(self, stmt: Statement, key=None) -> QueryResult:
+        """Run one statement; ``key`` is its precomputed SELECT key."""
         if isinstance(stmt, SelectStatement):
-            return self._select(stmt)
+            return self._select(stmt, key)
         if isinstance(stmt, CreateTableStatement):
             return self._create_table(stmt)
         if isinstance(stmt, InsertStatement):
@@ -190,7 +194,16 @@ class Executor:
         return QueryResult()
 
     # ------------------------------------------------------------------
-    def _select(self, stmt: SelectStatement) -> QueryResult:
+    def _select(self, stmt: SelectStatement, key=None) -> QueryResult:
+        """Resolve one SELECT's plan, execute it, report how.
+
+        ``key`` is the statement's ``(fingerprint, sql, tables)`` from
+        :func:`repro.engine.cache.plan_fingerprint`, computed once by
+        ``Database.sql`` when a store is on and None otherwise.  The
+        plan comes from the first of: the forced plan, the feedback
+        memo, the planner.  Execution is instrumented only while
+        feedback is on, whose controller then folds the actuals back.
+        """
         if stmt.source is None:
             # constant SELECT: evaluate items over a one-row batch
             out: Batch = {}
@@ -201,46 +214,57 @@ class Executor:
                 value = np.asarray(item.expr.eval(ONE_ROW))
                 out[name.lower()] = np.broadcast_to(value, (1,)).copy()
             return QueryResult(columns=out)
-        feedback = getattr(self.database, "feedback", None)
-        if feedback is not None:
-            # the adaptive path: memo lookup, instrumented execution,
-            # actuals folded back into the feedback store
-            return feedback.execute_select(stmt, self.planner)
-        store = getattr(self.database, "query_store", None)
-        if store is not None:
-            return self._select_with_store(stmt)
-        plan = self.planner.plan_select(stmt)
-        batch = plan.execute()
-        return QueryResult(columns=batch, plan=plan.explain(),
-                           plan_node=plan)
-
-    def _select_with_store(self, stmt: SelectStatement) -> QueryResult:
-        """Query Store on without feedback: fingerprint, honor forced
-        plans, report the optimizer mode as the plan's decision."""
-        from repro.engine.cache import plan_fingerprint
-
         database = self.database
-        keyed = plan_fingerprint(stmt, database)
-        fingerprint = keyed[0] if keyed is not None else None
-        plan = None
-        decision = None
-        forcer = getattr(database, "plan_forcer", None)
-        if fingerprint is not None and forcer is not None:
-            resolved = forcer.resolve(
+        feedback = database.feedback
+        store = database.query_store
+        fingerprint = key[0] if key is not None else None
+        plan = decision = origin = versions = None
+        planning_s = 0.0
+        if fingerprint is not None and database.plan_forcer is not None:
+            # a forced fingerprint bypasses memo and feedback: the
+            # operator pinned the plan, the loop must not fight it
+            started = time.perf_counter()
+            resolved = database.plan_forcer.resolve(
                 fingerprint, lambda: self.planner.plan_select(stmt)
             )
             if resolved is not None:
                 plan, decision = resolved
+                origin = decision
+                planning_s = time.perf_counter() - started
+        if plan is None and feedback is not None and fingerprint is not None:
+            versions = feedback.memo_versions(key[2])
+            entry = feedback.memo.get(fingerprint, versions)
+            if entry is not None:
+                plan, decision, origin = entry.plan, "hit", entry.decision
         if plan is None:
+            if feedback is not None:
+                replan = (feedback.take_replan(fingerprint)
+                          if fingerprint is not None else None)
+                decision = replan or "miss"
+            elif store is not None:
+                decision = database.optimizer_mode
+            origin = decision
+            started = time.perf_counter()
             plan = self.planner.plan_select(stmt)
-            decision = database.optimizer_mode
-        batch = plan.execute()
+            planning_s = time.perf_counter() - started
+            if versions is not None and feedback.memoizable(plan):
+                feedback.memo.put(fingerprint, plan, key[2], versions,
+                                  planning_s, decision=decision)
+        if feedback is not None:
+            wrapped, records = instrument_plan(plan, database.pool.counters)
+            batch = wrapped.execute()
+            feedback.observe(key, plan, records, planning_s, decision)
+        else:
+            batch = plan.execute()
         return QueryResult(
             columns=batch,
             plan=plan.explain(),
-            fingerprint=fingerprint,
+            fingerprint=(
+                fingerprint if feedback is not None or store is not None
+                else None
+            ),
             memo_decision=decision,
-            plan_origin=decision,
+            plan_origin=origin,
             plan_node=plan,
         )
 

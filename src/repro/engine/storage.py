@@ -136,7 +136,6 @@ def save_database(database: Database, directory: str | Path) -> list[Path]:
 def load_database(
     directory: str | Path,
     name: str = "restored",
-    pool_pages: int | None = None,
     config=None,
 ) -> Database:
     """Restore a database from a directory of saved tables.
@@ -146,15 +145,9 @@ def load_database(
     and forced-plan pins all survive the restart (pinned plans are
     re-established structurally on their next execution).
     """
-    from repro.engine.config import DEFAULT_ENGINE_CONFIG
-
     directory = Path(directory)
     if not directory.is_dir():
         raise EngineError(f"{directory} is not a directory")
-    if config is None:
-        config = DEFAULT_ENGINE_CONFIG
-    if pool_pages is not None:
-        config = config.replace(pool_pages=pool_pages)
     database = Database(name, config=config)
     for schema_path in sorted(directory.glob("*.schema")):
         load_table(database, directory, schema_path.stem)

@@ -111,9 +111,8 @@ class StoredQuery:
     first_seen: float = 0.0
     last_seen: float = 0.0
     executions: int = 0
-    #: The plan the fingerprint currently runs under (-1 before any
-    #: planned execution — e.g. a store enabled mid-workload seeing only
-    #: cache hits).
+    #: The plan the fingerprint currently runs under (-1 before its
+    #: first planned execution).
     current_plan_id: int = -1
 
 
@@ -265,7 +264,6 @@ class QueryStore:
         plan_origin: str | None = None,
         plan_node: object | None = None,
         cache_hit: bool = False,
-        memo_hit: bool = False,
         user: str | None = None,
         now: float | None = None,
     ) -> None:
@@ -275,7 +273,9 @@ class QueryStore:
         ``plan_origin`` is the decision that *first produced* the plan
         (differs on memo hits, which reuse a plan produced earlier).
         Cache hits carry no plan — they attach to the fingerprint's
-        current plan.
+        current plan, so a hit on a fingerprint the store does not track
+        (a ``UNION ALL``, a constant SELECT, an evicted query) is not
+        recorded.
         """
         if now is None:
             now = time.time()
@@ -284,6 +284,8 @@ class QueryStore:
         with self._lock:
             query = self._queries.get(fingerprint)
             if query is None:
+                if cache_hit:
+                    return
                 query = StoredQuery(
                     fingerprint=fingerprint, sql=sql,
                     first_seen=now, last_seen=now,
@@ -322,7 +324,7 @@ class QueryStore:
                 stats.logical_reads += max(int(logical_reads), 0)
                 if cache_hit:
                     stats.cache_hits += 1
-                if memo_hit:
+                if decision == "hit":
                     stats.memo_hits += 1
 
             self._classify_locked(fingerprint)

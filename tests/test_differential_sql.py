@@ -79,14 +79,12 @@ def make_tables(seed: int) -> tuple[dict, dict, dict]:
 
 
 def make_database(t1: dict, t2: dict, t3: dict, optimizer: str = "cost",
-                  result_cache: bool = False,
                   rewrites: bool = True,
                   page_compression: bool = True,
-                  workers: int = 1) -> Database:
-    config = EngineConfig(optimizer=optimizer, result_cache=result_cache,
-                          rewrites=rewrites,
+                  workers: int = 1, **stores: bool) -> Database:
+    config = EngineConfig(optimizer=optimizer, rewrites=rewrites,
                           page_compression=page_compression,
-                          intra_query_workers=workers)
+                          intra_query_workers=workers, **stores)
     db = Database("diff", config=config)
     db.create_table("t1", dict(t1), primary_key="id")
     db.create_table("t2", dict(t2))
@@ -540,32 +538,61 @@ def test_rewrite_differential_smoke():
     assert ran == 2 * len(TEMPLATES)
 
 
-@pytest.mark.parametrize("seed", DATASET_SEEDS[:2])
-def test_differential_queries_with_result_cache(seed):
-    """The semantic result cache must never change an answer.
+#: The store corners: each store alone, all three together, and none.
+STORE_CONFIGS = {
+    "result_cache": {"result_cache": True},
+    "feedback": {"feedback": True},
+    "query_store": {"query_store": True},
+    "all_stores": {"result_cache": True, "feedback": True,
+                   "query_store": True},
+    "plain": {},
+}
 
-    Every query runs twice against a cache-enabled database — the
-    second execution is answered from the cache — and both answers are
-    checked against the numpy oracle.  A third run against a cache-off
-    database closes the loop: cached rows equal uncached rows.
+
+@pytest.mark.parametrize("stores", list(STORE_CONFIGS))
+@pytest.mark.parametrize("seed", DATASET_SEEDS[:2])
+def test_differential_queries_with_result_cache(seed, stores):
+    """No store may change an answer.
+
+    Every query runs twice against a database with the given stores on
+    — with the result cache the second execution is answered from it,
+    with feedback alone it runs its memoized plan (or the re-plan a
+    q-error breach asked for) — and both answers
+    are checked against the numpy oracle and for byte identity with a
+    database that has every store off.
     """
     t1, t2, t3 = make_tables(seed)
-    cached_db = make_database(t1, t2, t3, result_cache=True)
-    plain_db = make_database(t1, t2, t3, result_cache=False)
+    knobs = STORE_CONFIGS[stores]
+    db = make_database(t1, t2, t3, **knobs)
+    plain_db = make_database(t1, t2, t3)
     rng = np.random.default_rng(seed * 1000 + 7)
 
-    cache_hits = 0
+    cache_hits = memo_hits = replans = 0
     for template in TEMPLATES:
         for _ in range(QUERIES_PER_TEMPLATE):
             sql, oracle_rows, ordered = template(rng, t1, t2, t3)
-            warm = cached_db.sql(sql)
-            hit = cached_db.sql(sql)
-            if hit.plan.startswith("[answered from cache]"):
+            plain = plain_db.sql(sql).rows()
+            warm = db.sql(sql)
+            again = db.sql(sql)
+            if again.plan.startswith("[answered from cache]"):
                 cache_hits += 1
-            for rows in (warm.rows(), hit.rows(), plain_db.sql(sql).rows()):
+            if again.memo_decision == "hit":
+                memo_hits += 1
+            if again.memo_decision in ("replan", "learned-override"):
+                replans += 1  # the first run breached the q-error ceiling
+            for result in (warm, again):
+                rows = result.rows()
                 assert_rows_equal(rows, oracle_rows, sql, ordered=ordered)
+                assert_rows_byte_identical(rows, plain, sql)
     # the corpus avoids TVFs, so essentially everything is cacheable
-    assert cache_hits == len(TEMPLATES) * QUERIES_PER_TEMPLATE
+    n_queries = len(TEMPLATES) * QUERIES_PER_TEMPLATE
+    if knobs.get("result_cache"):
+        assert cache_hits == n_queries
+    elif knobs.get("feedback"):
+        assert memo_hits + replans == n_queries
+        assert memo_hits > n_queries // 2
+    else:
+        assert cache_hits == memo_hits == 0
 
 
 def assert_rows_byte_identical(a: list[dict], b: list[dict],

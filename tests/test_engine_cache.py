@@ -47,10 +47,6 @@ class TestEngineConfig:
             EngineConfig(optimizer="bogus")
         with pytest.raises(EngineError):
             EngineConfig(pool_pages=0)
-        with pytest.raises(EngineError):
-            EngineConfig(cache_max_entries=0)
-        with pytest.raises(EngineError):
-            EngineConfig(cache_ttl_s=-1.0)
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -78,7 +74,7 @@ class TestEngineConfig:
     def test_engine_config_knobs_and_signature(self):
         import dataclasses
 
-        assert len(dataclasses.fields(EngineConfig)) == 16
+        assert len(dataclasses.fields(EngineConfig)) == 10
         assert EngineConfig().page_compression is True
         assert EngineConfig().plan_signature() == (
             "optimizer=cost,band_joins=1,rewrites=1,workers=1,pages=1"

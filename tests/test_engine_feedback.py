@@ -159,9 +159,8 @@ class TestPlanMemo:
     def test_lru_eviction_bounded(self):
         memo = PlanMemo(max_entries=2)
         for i in range(4):
-            memo.put((f"fp{i}", "sig"), plan=object(), tables=frozenset(),
-                     table_versions={}, stats_versions={},
-                     overrides_version=0, planning_s=0.001)
+            memo.put(f"fp{i}", plan=object(), tables=frozenset(),
+                     versions=(0,), planning_s=0.001)
         assert len(memo.entries()) == 2
         assert memo.stats.evictions == 2
 
@@ -413,8 +412,6 @@ class TestConfigAndCluster:
 
         with pytest.raises(EngineError):
             EngineConfig(qerror_ceiling=1.0)
-        with pytest.raises(EngineError):
-            EngineConfig(plan_memo_entries=0)
 
     def test_plan_signature_covers_planning_knobs(self):
         base = EngineConfig()

@@ -134,6 +134,34 @@ class TestThreadBackendTrace:
         assert len(partitions) == 2
 
 
+class TestForkedWorkerSpans:
+    def test_span_ids_unique_after_fork_run(self, tiny_setup):
+        """A forked worker must not ship back the parent's spans.
+
+        A span finished before dispatch sits in the parent's tracer
+        when the pool forks; each child starts from an empty tracer, so
+        the merged trace holds it exactly once.
+        """
+        from repro.cluster.backends import ProcessBackend
+        from repro.obs import span
+
+        config, kcorr, target, sky = tiny_setup
+        with tracing():
+            with span("test.before_dispatch", layer="app"):
+                pass
+            run_partitioned(
+                sky.catalog, target, kcorr, config, n_servers=3,
+                backend=ProcessBackend(max_workers=2, mp_context="fork"),
+                compute_members=False,
+            )
+            spans = get_tracer().spans()
+        ids = [s.span_id for s in spans]
+        assert len(ids) == len(set(ids))
+        assert sum(s.name == "test.before_dispatch" for s in spans) == 1
+        partitions = [s for s in spans if s.name == "cluster.partition"]
+        assert len(partitions) == 3
+
+
 class TestDisabledPath:
     def test_disabled_run_records_nothing(self, tiny_setup):
         config, kcorr, target, sky = tiny_setup

@@ -188,6 +188,20 @@ class TestSqlIntegration:
         assert sum(s.cache_hits for s in stats) == 1
         assert all(s.plan_id >= 0 for s in stats)
 
+    def test_cached_union_leaves_no_untracked_query(self):
+        # the store never tracks UNION ALL: a cache hit on one must not
+        # create a query row with no SQL and no plan
+        db = make_db(result_cache=True)
+        union = ("SELECT id FROM t WHERE id < 3 UNION ALL "
+                 "SELECT id FROM t WHERE id > 57")
+        first = db.sql(union)
+        second = db.sql(union)
+        assert second.plan.startswith("[answered from cache]")
+        assert first.rows() == second.rows()
+        assert len(db.query_store) == 0
+        assert all(q.sql and q.current_plan_id >= 0
+                   for q in db.query_store.queries())
+
     def test_disabled_store_records_nothing(self):
         db = Database("off", config=EngineConfig())
         assert db.query_store is None
